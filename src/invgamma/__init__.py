@@ -5,7 +5,6 @@ two conjugate Bayesian schemes), the closed-form KL divergence between
 Inverse Gamma distributions, and a seeded benchmark harness.
 """
 
-from ._accel import NUMBA_ENABLED
 from .distribution import (
     InvGammaParams,
     UndefinedMomentError,
@@ -22,6 +21,7 @@ from .distribution import (
 from .estimators import (
     ConvergenceConfig,
     DegenerateSampleError,
+    FitOptions,
     FitReport,
     InsufficientDataError,
     InvalidPosteriorError,
@@ -50,6 +50,7 @@ from .harness import (
     SimulationRecord,
     aggregate_bias,
     emit_prior_posterior_curves,
+    fit_by_name,
     run_bias_experiment,
     run_kl_experiment,
     wilcoxon_rank_sum,
@@ -57,3 +58,6 @@ from .harness import (
 from .specfun import digamma, inv_digamma, ln_gamma, trigamma
 
 __version__ = "0.1.0"
+
+# numpy is the only backend; kept for records that name the backend.
+NUMBA_ENABLED = False

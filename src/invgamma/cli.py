@@ -18,6 +18,7 @@ from .distribution import InvGammaParams, kl_divergence, sample
 from .estimators import (
     ConvergenceConfig,
     DegenerateSampleError,
+    FitOptions,
     InsufficientDataError,
     InvalidPosteriorError,
     PolyShapePrior,
@@ -31,6 +32,8 @@ from .harness import (
     ExperimentConfig,
     aggregate_bias,
     emit_prior_posterior_curves,
+    fit_by_name,
+    fmt_float,
     kl_by_estimator,
     run_kl_experiment,
     wilcoxon_rank_sum,
@@ -38,11 +41,10 @@ from .harness import (
     write_curves_csv,
     write_records_csv,
 )
-from .harness import _fit_one as _fit_by_name
 
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+# Lines per stdout write in ``sample``: one string for 1e6 values would
+# outweigh the sample array itself.
+_EMIT_CHUNK = 65536
 
 
 def _err(msg: str) -> None:
@@ -172,6 +174,15 @@ class _InputError(Exception):
         self.code = code
 
 
+def _fit_options_from_args(args) -> FitOptions:
+    return FitOptions(
+        shape_prior=ShapePriorABC.with_a(args.prior_a, args.prior_b, args.prior_c),
+        scale_prior=ScaleGammaPrior(args.prior_d, args.prior_e),
+        poly_prior=PolyShapePrior(1.0, args.w1, args.w2),
+        conv=ConvergenceConfig(args.tol, args.max_iter),
+    )
+
+
 def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(
         sizes=tuple(args.sizes),
@@ -179,10 +190,7 @@ def _config_from_args(args) -> ExperimentConfig:
         base_seed=args.seed,
         estimators=tuple(e.strip().upper() for e in args.estimators.split(",")
                          if e.strip()),
-        shape_prior=ShapePriorABC.with_a(args.prior_a, args.prior_b, args.prior_c),
-        scale_prior=ScaleGammaPrior(args.prior_d, args.prior_e),
-        poly_prior=PolyShapePrior(1.0, args.w1, args.w2),
-        conv=ConvergenceConfig(args.tol, args.max_iter),
+        fit=_fit_options_from_args(args),
     )
 
 
@@ -196,10 +204,10 @@ def cmd_fit(args) -> int:
         _err(str(exc))
         return 2
     name = args.estimator.upper()
-    cfg = _config_from_args_fit(args)
+    options = _fit_options_from_args(args)
     try:
         stats = compute_stats(data)
-        report = _fit_by_name(name, stats, cfg)
+        report = fit_by_name(name, stats, options)
     except (DegenerateSampleError, InsufficientDataError,
             InvalidPosteriorError) as exc:
         _err(str(exc))
@@ -227,21 +235,10 @@ def cmd_fit(args) -> int:
             if isinstance(val, bool):
                 print(f"{key}={'true' if val else 'false'}")
             elif isinstance(val, float):
-                print(f"{key}={_fmt(val)}")
+                print(f"{key}={fmt_float(val)}")
             else:
                 print(f"{key}={val}")
     return 0
-
-
-def _config_from_args_fit(args) -> ExperimentConfig:
-    # Reuse the experiment config as the prior/tolerance bundle for fit.
-    return ExperimentConfig(
-        sizes=(1,), sims_per_size=1, base_seed=0,
-        shape_prior=ShapePriorABC.with_a(args.prior_a, args.prior_b, args.prior_c),
-        scale_prior=ScaleGammaPrior(args.prior_d, args.prior_e),
-        poly_prior=PolyShapePrior(1.0, args.w1, args.w2),
-        conv=ConvergenceConfig(args.tol, args.max_iter),
-    )
 
 
 def cmd_sample(args) -> int:
@@ -253,9 +250,10 @@ def cmd_sample(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
-    rng = np.random.default_rng(args.seed)
-    for x in sample(p, args.n, rng):
-        print(_fmt(x))
+    x = sample(p, args.n, np.random.default_rng(args.seed))
+    for lo in range(0, x.size, _EMIT_CHUNK):
+        chunk = x[lo:lo + _EMIT_CHUNK].tolist()
+        sys.stdout.write("\n".join(map(fmt_float, chunk)) + "\n")
     return 0
 
 
@@ -266,7 +264,7 @@ def cmd_kl(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
-    print(_fmt(kl_divergence(p, q)))
+    print(fmt_float(kl_divergence(p, q)))
     return 0
 
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import jit
-from .specfun import _digamma, _ln_gamma
+from .specfun import _digamma
 
 
 class UndefinedMomentError(ValueError):
@@ -39,7 +38,7 @@ def log_pdf(p: InvGammaParams, x):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("log_pdf requires finite x > 0")
-    out = (p.alpha * math.log(p.beta) - _ln_gamma(p.alpha)
+    out = (p.alpha * math.log(p.beta) - math.lgamma(p.alpha)
            - (p.alpha + 1.0) * np.log(arr) - p.beta / arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
@@ -65,32 +64,41 @@ def moments(p: InvGammaParams) -> tuple[float, float]:
     return mean(p), variance(p)
 
 
-@jit
-def _gamma_mt_fill(out, filled, d, c, normals, uniforms):
-    # Squeeze-then-log acceptance for unit-rate Gamma with shape >= 1;
-    # consumes one (normal, uniform) pair per trial, in order.
-    i = filled
-    k = 0
-    avail = normals.shape[0]
-    while i < out.shape[0] and k < avail:
-        z = normals[k]
-        u = uniforms[k]
-        k += 1
-        v = 1.0 + c * z
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        if u < 1.0 - 0.0331 * (z * z) * (z * z):
-            out[i] = d * v
-            i += 1
-        elif math.log(u) < 0.5 * z * z + d * (1.0 - v + math.log(v)):
-            out[i] = d * v
-            i += 1
-    return i
+# Pairs per acceptance block: bounds the mask temporaries, so a 1e6-draw
+# call peaks near the size of its two input arrays.
+_BLOCK = 65536
+
+
+def _clog(a: np.ndarray) -> np.ndarray:
+    # C log, as in the scalar rule: numpy's SIMD log can differ by an ulp.
+    return np.array(list(map(math.log, a.tolist())), dtype=np.float64)
+
+
+def _gamma_mt_accept(z, u, d, c):
+    """Marsaglia-Tsang (2000) draws from one block of (normal, uniform)
+    pairs, in pair order: the v > 0 mask, then the squeeze test, then the
+    log test for the pairs the squeeze rejects."""
+    v = 1.0 + c * z
+    if not v.min() > 0.0:  # rare: needs z < -3 sqrt(d)
+        live = v > 0.0
+        z, u, v = z[live], u[live], v[live]
+    v = v * v * v
+    z2 = z * z
+    accept = u < 1.0 - 0.0331 * z2 * z2
+    rest = np.flatnonzero(~accept)
+    if rest.size:
+        vr = v[rest]
+        accept[rest] = (_clog(u[rest])
+                        < 0.5 * z2[rest] + d * (1.0 - vr + _clog(vr)))
+    return d * v[accept]
 
 
 def _standard_gamma(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n unit-rate Gamma(alpha) draws; shape < 1 via the power boost."""
+    """n unit-rate Gamma(alpha) draws; shape < 1 via the power boost.
+
+    Each round draws ``m`` normals, then ``m`` uniforms, and keeps the
+    first accepted values it still needs; leftover pairs are discarded.
+    """
     base = alpha if alpha >= 1.0 else alpha + 1.0
     d = base - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
@@ -99,8 +107,16 @@ def _standard_gamma(alpha: float, n: int, rng: np.random.Generator) -> np.ndarra
     while filled < n:
         want = n - filled
         m = want + (want >> 4) + 16
-        filled = _gamma_mt_fill(out, filled, d, c,
-                                rng.standard_normal(m), rng.random(m))
+        normals = rng.standard_normal(m)
+        uniforms = rng.random(m)
+        for lo in range(0, m, _BLOCK):
+            got = _gamma_mt_accept(normals[lo:lo + _BLOCK],
+                                   uniforms[lo:lo + _BLOCK], d, c)
+            take = min(got.size, n - filled)
+            out[filled:filled + take] = got[:take]
+            filled += take
+            if filled == n:
+                break
     if alpha < 1.0 and n > 0:
         out *= rng.random(n) ** (1.0 / alpha)
     return out
@@ -128,7 +144,7 @@ def expect_inv_x(p: InvGammaParams) -> float:
 def expect_log_pdf(p: InvGammaParams) -> float:
     """E[log p(x)] = (1+alpha) digamma(alpha) - alpha - log(beta Gamma(alpha))."""
     return ((1.0 + p.alpha) * _digamma(p.alpha) - p.alpha
-            - math.log(p.beta) - _ln_gamma(p.alpha))
+            - math.log(p.beta) - math.lgamma(p.alpha))
 
 
 def kl_divergence(p: InvGammaParams, q: InvGammaParams) -> float:
@@ -142,7 +158,7 @@ def kl_divergence(p: InvGammaParams, q: InvGammaParams) -> float:
     ah, bh = q.alpha, q.beta
     val = ((a - ah) * _digamma(a)
            + ah * (math.log(b) - math.log(bh))
-           + _ln_gamma(ah) - _ln_gamma(a)
+           + math.lgamma(ah) - math.lgamma(a)
            + a * (bh / b) - a)
     if val < 0.0:
         if val < -1e-12:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import jit
 from .distribution import InvGammaParams
-from .specfun import _digamma, _inv_digamma, _ln_gamma, _trigamma
+from .specfun import _digamma, _inv_digamma, _trigamma
 
 
 class InsufficientDataError(ValueError):
@@ -132,6 +131,16 @@ class ConvergenceConfig:
 
 
 @dataclass(frozen=True)
+class FitOptions:
+    """Priors and convergence settings; each fitter reads the ones it uses."""
+
+    shape_prior: ShapePriorABC = ShapePriorABC()
+    scale_prior: ScaleGammaPrior = ScaleGammaPrior()
+    poly_prior: PolyShapePrior = PolyShapePrior()
+    conv: ConvergenceConfig = ConvergenceConfig()
+
+
+@dataclass(frozen=True)
 class LaplaceSummary:
     """Gaussian posterior summary for the shape: mean and precision."""
 
@@ -189,7 +198,7 @@ def fit_mm(stats: SufficientStats) -> FitReport:
 def log_likelihood(stats: SufficientStats, p: InvGammaParams) -> float:
     """Sample log-likelihood evaluated from the sufficient statistics."""
     n = stats.n
-    return (-n * (p.alpha + 1.0) * stats.mean_log - n * _ln_gamma(p.alpha)
+    return (-n * (p.alpha + 1.0) * stats.mean_log - n * math.lgamma(p.alpha)
             + n * p.alpha * math.log(p.beta) - p.beta * stats.sum_inv)
 
 
@@ -205,7 +214,7 @@ def profile_log_likelihood(stats: SufficientStats, alpha: float) -> float:
     if not alpha > 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     n = stats.n
-    return n * (-(alpha + 1.0) * stats.mean_log - _ln_gamma(alpha)
+    return n * (-(alpha + 1.0) * stats.mean_log - math.lgamma(alpha)
                 + alpha * (math.log(alpha) + math.log(n)
                            - math.log(stats.sum_inv) - 1.0))
 
@@ -224,7 +233,6 @@ def quad_approx_coeffs(stats: SufficientStats, alpha: float) -> QuadLogLikApprox
     return QuadLogLikApprox(k0, k1, k2, alpha)
 
 
-@jit
 def _ml1_loop(n, c_const, alpha, rel_tol, max_iter):
     it = 0
     res = math.inf
@@ -238,7 +246,6 @@ def _ml1_loop(n, c_const, alpha, rel_tol, max_iter):
     return alpha, it, res, False
 
 
-@jit
 def _guarded(alpha, nxt):
     # Updates below zero (or non-finite) fall back to the geometric mean
     # of the previous iterate and the update floored at 1e-8.
@@ -248,7 +255,6 @@ def _guarded(alpha, nxt):
     return math.sqrt(alpha * floor)
 
 
-@jit
 def _ml2_loop(n, c_const, alpha, rel_tol, max_iter):
     it = 0
     res = math.inf
@@ -264,7 +270,6 @@ def _ml2_loop(n, c_const, alpha, rel_tol, max_iter):
     return alpha, it, res, False
 
 
-@jit
 def _bl1_loop(n, log_a_hat, b_hat, c_hat, d, log_e_hat, alpha, rel_tol, max_iter):
     it = 0
     res = math.inf
@@ -279,7 +284,6 @@ def _bl1_loop(n, log_a_hat, b_hat, c_hat, d, log_e_hat, alpha, rel_tol, max_iter
     return alpha, it, res, False
 
 
-@jit
 def _bl2_loop(n, mean_log, log_sum_inv, w1, w2, alpha, rel_tol, max_iter):
     it = 0
     res = math.inf
@@ -408,7 +412,7 @@ def bl1_log_posterior_curve(stats: SufficientStats,
             beta_hat = scale_prior.d / scale_prior.e
         else:
             beta_hat = fit_bl1(stats, shape_prior, scale_prior).params.beta
-    lgam = np.array([_ln_gamma(a) for a in grid])
+    lgam = np.array([math.lgamma(a) for a in grid])
     return ((-grid - 1.0) * log_a_hat
             + grid * c_hat * math.log(beta_hat)
             - b_hat * lgam)

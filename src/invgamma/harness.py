@@ -17,8 +17,8 @@ import numpy as np
 
 from .distribution import InvGammaParams, kl_divergence, sample
 from .estimators import (
-    ConvergenceConfig,
-    PolyShapePrior,
+    FitOptions,
+    FitReport,
     ScaleGammaPrior,
     ShapePriorABC,
     SufficientStats,
@@ -56,12 +56,9 @@ class ExperimentConfig:
     sims_per_size: int = 500
     base_seed: int = 0
     estimators: tuple[str, ...] = ESTIMATORS
-    shape_prior: ShapePriorABC = ShapePriorABC()
-    scale_prior: ScaleGammaPrior = ScaleGammaPrior()
-    poly_prior: PolyShapePrior = PolyShapePrior()
+    fit: FitOptions = FitOptions()
     alpha_range: tuple[float, float] = (2.5, 15.0)
     beta_range: tuple[float, float] = (1.0, 50.0)
-    conv: ConvergenceConfig = ConvergenceConfig()
 
     def __post_init__(self):
         if self.sims_per_size < 1:
@@ -115,17 +112,25 @@ def child_rng(base_seed: int, size: int, sim: int) -> np.random.Generator:
         np.random.SeedSequence(base_seed, spawn_key=(size, sim)))
 
 
-def _fit_one(name: str, stats, cfg: ExperimentConfig):
+def fit_by_name(name: str, stats: SufficientStats,
+                options: FitOptions = FitOptions()) -> FitReport:
+    """Run the estimator called ``name`` (one of ``ESTIMATORS``).
+
+    The fitters are looked up in this module's globals on every call, so
+    code that wraps ``harness.fit_ml1`` and friends sees every fit.
+    """
     if name == "MM":
         return fit_mm(stats)
     if name == "ML1":
-        return fit_ml1(stats, cfg.conv)
+        return fit_ml1(stats, options.conv)
     if name == "ML2":
-        return fit_ml2(stats, cfg.conv)
+        return fit_ml2(stats, options.conv)
     if name == "BL1":
-        return fit_bl1(stats, cfg.shape_prior, cfg.scale_prior, cfg.conv)
+        return fit_bl1(stats, options.shape_prior, options.scale_prior,
+                       options.conv)
     if name == "BL2":
-        return fit_bl2(stats, cfg.poly_prior, cfg.scale_prior, cfg.conv)
+        return fit_bl2(stats, options.poly_prior, options.scale_prior,
+                       options.conv)
     raise ValueError(f"unknown estimator {name!r}")
 
 
@@ -139,7 +144,7 @@ def _simulate_one(cfg: ExperimentConfig, size: int, sim: int) -> list[Simulation
     for name in cfg.estimators:
         t0 = time.perf_counter()
         try:
-            report = _fit_one(name, stats, cfg)
+            report = fit_by_name(name, stats, cfg.fit)
         except Exception:
             report = None
         runtime = time.perf_counter() - t0
@@ -301,7 +306,8 @@ def emit_prior_posterior_curves(stats: SufficientStats,
     return rows
 
 
-def _fmt(v: float) -> str:
+def fmt_float(v: float) -> str:
+    """17 significant digits: enough for every float64 to round-trip."""
     return f"{v:.17g}"
 
 
@@ -323,11 +329,11 @@ def records_to_csv(records: list[SimulationRecord]) -> str:
     for r in records:
         lines.append(",".join([
             str(r.N), str(r.sim), r.estimator,
-            _fmt(r.alpha_true), _fmt(r.beta_true),
-            _fmt(r.alpha_hat), _fmt(r.beta_hat), _fmt(r.kl),
-            _fmt(r.bias_alpha), _fmt(r.bias_beta),
+            fmt_float(r.alpha_true), fmt_float(r.beta_true),
+            fmt_float(r.alpha_hat), fmt_float(r.beta_hat), fmt_float(r.kl),
+            fmt_float(r.bias_alpha), fmt_float(r.bias_beta),
             str(r.iterations), "true" if r.converged else "false",
-            _fmt(r.runtime_s),
+            fmt_float(r.runtime_s),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -356,8 +362,8 @@ def write_bias_csv(aggregates: list[BiasAggregate], path: str) -> None:
     for a in aggregates:
         lines.append(",".join([
             str(a.N), a.estimator, str(a.n_used), str(a.n_failed),
-            _fmt(a.mean_bias_alpha), _fmt(a.std_bias_alpha),
-            _fmt(a.mean_bias_beta), _fmt(a.std_bias_beta),
+            fmt_float(a.mean_bias_alpha), fmt_float(a.std_bias_alpha),
+            fmt_float(a.mean_bias_beta), fmt_float(a.std_bias_beta),
         ]))
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -365,6 +371,6 @@ def write_bias_csv(aggregates: list[BiasAggregate], path: str) -> None:
 def write_curves_csv(rows: list[tuple], path: str) -> None:
     lines = [CURVES_CSV_HEADER]
     for (label, alpha, lp, lq, at, ah) in rows:
-        lines.append(",".join([label, _fmt(alpha), _fmt(lp), _fmt(lq),
-                               _fmt(at), _fmt(ah)]))
+        lines.append(",".join([label, fmt_float(alpha), fmt_float(lp), fmt_float(lq),
+                               fmt_float(at), fmt_float(ah)]))
     _atomic_write(path, "\n".join(lines) + "\n")

@@ -6,25 +6,18 @@ recurrences and then evaluate the de Moivre asymptotic series through the
 x**-14 term, which keeps the truncation error below ~2e-13 at the
 threshold.  ``inv_digamma`` is a guarded Newton iteration.
 
-The ``_``-prefixed kernels skip argument validation so they can run inside
-compiled loops; the public wrappers validate and raise.
+The ``_``-prefixed kernels skip argument validation because their callers
+pass values that are already validated; the public wrappers validate and
+raise.
 """
 
 import math
-
-from ._accel import jit
 
 EULER_GAMMA = 0.5772156649015328606
 
 _SHIFT = 6.0
 
 
-@jit
-def _ln_gamma(x):
-    return math.lgamma(x)
-
-
-@jit
 def _digamma(x):
     acc = 0.0
     while x < _SHIFT:
@@ -36,7 +29,6 @@ def _digamma(x):
     return acc + math.log(x) - 0.5 / x - tail
 
 
-@jit
 def _trigamma(x):
     acc = 0.0
     while x < _SHIFT:
@@ -48,7 +40,6 @@ def _trigamma(x):
     return acc + 1.0 / x + 0.5 * r + poly * r / x
 
 
-@jit
 def _inv_digamma(y):
     # Two-branch initializer, then Newton on a concave increasing function.
     if y >= -2.22:
@@ -76,7 +67,7 @@ def _check_positive(name: str, x: float) -> float:
 
 def ln_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
-    return _ln_gamma(_check_positive("ln_gamma", x))
+    return math.lgamma(_check_positive("ln_gamma", x))
 
 
 def digamma(x: float) -> float:

@@ -1,5 +1,6 @@
 """Experiment runner determinism, CSV contracts, rank-sum test and curves."""
 
+import hashlib
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from scipy.stats import mannwhitneyu
 
 from invgamma import (
     ExperimentConfig,
+    FitOptions,
     PolyShapePrior,
     ScaleGammaPrior,
     ShapePriorABC,
@@ -63,6 +65,16 @@ class TestDeterminism:
         assert (strip_runtime(records_to_csv(small_records))
                 == strip_runtime(records_to_csv(again)))
 
+    def test_golden_records_digest(self):
+        # sha256 of the records CSV without runtime_s; pins the sampler
+        # stream, every fitter and the 17-digit emission at once.
+        records = run_kl_experiment(ExperimentConfig(sizes=(20, 50),
+                                                     sims_per_size=20))
+        text = "".join(line.rsplit(",", 1)[0] + "\n"
+                       for line in records_to_csv(records).splitlines())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "99118dfe394f63a01dd8319bcb94ff4e457a223b8e14467aacbae25aa45428da")
+
     def test_child_rng_order_independent(self):
         a = child_rng(5, 100, 3).random(4)
         b = child_rng(5, 100, 3).random(4)
@@ -87,7 +99,8 @@ class TestRecords:
     def test_failures_recorded_not_fatal(self):
         cfg = ExperimentConfig(sizes=(30,), sims_per_size=3, base_seed=1,
                                estimators=("MM", "BL2"),
-                               poly_prior=PolyShapePrior(1.0, 1e12, 0.0))
+                               fit=FitOptions(
+                                   poly_prior=PolyShapePrior(1.0, 1e12, 0.0)))
         records = run_kl_experiment(cfg)
         bl2 = [r for r in records if r.estimator == "BL2"]
         assert len(bl2) == 3
