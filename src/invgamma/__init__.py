@@ -19,6 +19,7 @@ from .distribution import (
     variance,
 )
 from .estimators import (
+    BatchFit,
     ConvergenceConfig,
     DegenerateSampleError,
     FitOptions,
@@ -30,9 +31,11 @@ from .estimators import (
     QuadLogLikApprox,
     ScaleGammaPrior,
     ShapePriorABC,
+    StatsBatch,
     SufficientStats,
     bl1_log_posterior_curve,
     compute_stats,
+    fit_batch,
     fit_bl1,
     fit_bl2,
     fit_ml1,

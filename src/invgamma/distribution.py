@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _digamma
+from .specfun import _clog, _digamma
 
 
 class UndefinedMomentError(ValueError):
@@ -67,11 +67,6 @@ def moments(p: InvGammaParams) -> tuple[float, float]:
 # Pairs per acceptance block: bounds the mask temporaries, so a 1e6-draw
 # call peaks near the size of its two input arrays.
 _BLOCK = 65536
-
-
-def _clog(a: np.ndarray) -> np.ndarray:
-    # C log, as in the scalar rule: numpy's SIMD log can differ by an ulp.
-    return np.array(list(map(math.log, a.tolist())), dtype=np.float64)
 
 
 def _gamma_mt_accept(z, u, d, c):

@@ -13,6 +13,11 @@
 Every estimator consumes a sample only through ``SufficientStats``.
 Iteration stops when the relative change of alpha drops to ``rel_tol``;
 the scale estimate is computed once afterwards.
+
+``fit_batch`` runs one estimator over a ``StatsBatch`` of many samples as
+masked numpy arrays.  Its update rules repeat the scalar loops operation for
+operation, so every element gets the bits the scalar ``fit_*`` would give,
+and a domain error marks the element failed instead of raising.
 """
 
 import math
@@ -21,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import InvGammaParams
-from .specfun import _digamma, _inv_digamma, _trigamma
+from .specfun import (
+    _clog,
+    _digamma,
+    _inv_digamma,
+    _inv_digamma_array,
+    _psi_psi1_array,
+    _trigamma,
+)
 
 
 class InsufficientDataError(ValueError):
@@ -416,3 +428,194 @@ def bl1_log_posterior_curve(stats: SufficientStats,
     return ((-grid - 1.0) * log_a_hat
             + grid * c_hat * math.log(beta_hat)
             - b_hat * lgam)
+
+
+# ------------------------------------------------------------ batched fitters
+
+@dataclass(frozen=True)
+class StatsBatch:
+    """``SufficientStats`` of many samples as parallel float64 arrays."""
+
+    n: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
+    sum_inv: np.ndarray
+    sum_log: np.ndarray
+    mean_log: np.ndarray
+
+    @classmethod
+    def pack(cls, stats) -> "StatsBatch":
+        cols = np.array([(s.n, s.mean, s.var, s.sum_inv, s.sum_log, s.mean_log)
+                         for s in stats], dtype=np.float64).reshape(-1, 6)
+        return cls(*(np.ascontiguousarray(c) for c in cols.T))
+
+    def __len__(self) -> int:
+        return self.n.size
+
+    def take(self, idx: np.ndarray) -> "StatsBatch":
+        return StatsBatch(self.n[idx], self.mean[idx], self.var[idx],
+                          self.sum_inv[idx], self.sum_log[idx],
+                          self.mean_log[idx])
+
+
+@dataclass(frozen=True)
+class BatchFit:
+    """Per-element results of ``fit_batch``.
+
+    ``failed`` marks the elements whose scalar fit raises; their alpha and
+    beta are NaN, iterations 0 and converged False.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    residual: np.ndarray
+    failed: np.ndarray
+
+
+def _iterate(update, alpha0, conv: ConvergenceConfig):
+    """Fixed-point driver: ``alpha <- update(idx, alpha)`` for the elements
+    at positions ``idx`` that are still iterating, each stopping by the
+    scalar loops' rule.  Returns (alpha, iterations, residual, converged).
+
+    An element whose update is NaN also stops, and its fit fails: the
+    rules return NaN where the scalar loop raises, and map NaN to NaN.
+    """
+    alpha = alpha0.copy()
+    iterations = np.zeros(alpha.size, dtype=np.int64)
+    residual = np.full(alpha.size, math.inf)
+    converged = np.zeros(alpha.size, dtype=bool)
+    live = np.arange(alpha.size)
+    for it in range(1, conv.max_iter + 1):
+        if not live.size:
+            break
+        a = alpha[live]
+        nxt = update(live, a)
+        res = np.abs(nxt - a) / a
+        alpha[live] = nxt
+        residual[live] = res
+        iterations[live] = it
+        done = res <= conv.rel_tol
+        converged[live[done]] = True
+        live = live[~(done | np.isnan(nxt))]
+    return alpha, iterations, residual, converged
+
+
+def _guarded_array(alpha, nxt):
+    finite = np.isfinite(nxt)
+    floor = np.where(finite & (nxt > 1e-8), nxt, 1e-8)
+    return np.where(finite & (nxt > 0.0), nxt, np.sqrt(alpha * floor))
+
+
+def _raises_where(zero_div, nxt):
+    # The scalar loop raises ZeroDivisionError where ``zero_div`` holds, as
+    # it does for near-constant samples (alpha0 above about 1e16); NaN ends
+    # the element's iteration and fails its fit.
+    return np.where(zero_div, math.nan, nxt)
+
+
+def _ml1_rule(n, c_const):
+    def update(i, alpha):
+        return _inv_digamma_array(_clog(n[i] * alpha) + c_const[i])
+    return update
+
+
+def _ml2_rule(n, c_const):
+    def update(i, alpha):
+        psi, psi1 = _psi_psi1_array(alpha)
+        num = c_const[i] - psi + _clog(n[i] * alpha)
+        den = alpha * alpha * (1.0 / alpha - psi1)
+        inv = 1.0 / alpha + num / den
+        nxt = _guarded_array(alpha, 1.0 / inv)
+        return _raises_where((den == 0.0) | (inv == 0.0), nxt)
+    return update
+
+
+def _bl1_rule(n, log_a_hat, b_hat, c_hat, d, log_e_hat):
+    def update(i, alpha):
+        arg = (-log_a_hat[i] + c_hat[i] * (_clog(d + n[i] * alpha)
+                                           - log_e_hat[i])) / b_hat[i]
+        return _inv_digamma_array(arg)
+    return update
+
+
+def _bl2_rule(n, mean_log, log_sum_inv, w1, w2, w1t, w2t):
+    # Leaves each element's last posterior weights in w1t and w2t.
+    def update(i, alpha):
+        psi, tg = _psi_psi1_array(alpha)
+        ni = n[i]
+        k2 = ni * (alpha * alpha * tg - alpha)
+        k1 = ni * (-mean_log[i] - psi + _clog(ni * alpha)
+                   - log_sum_inv[i] - alpha * tg + 1.0)
+        w1t[i] = w1_i = w1 + k1
+        w2t[i] = w2_i = w2 + k2
+        nxt = _guarded_array(alpha, -w2_i / w1_i)
+        return _raises_where(w1_i == 0.0, nxt)
+    return update
+
+
+def _fit_valid(name: str, b: StatsBatch, options: FitOptions):
+    """``fit_batch`` on elements with n >= 2 and var > 0.  Returns (alpha,
+    beta, iterations, residual, converged, invalid posterior)."""
+    alpha0 = b.mean * b.mean / b.var + 2.0
+    none = np.zeros(len(b), dtype=bool)
+    if name == "MM":
+        return (alpha0, b.mean * (alpha0 - 1.0), np.zeros(len(b), np.int64),
+                np.zeros(len(b)), np.ones(len(b), dtype=bool), none)
+    conv = options.conv
+    sp, scp = options.shape_prior, options.scale_prior
+    if name in ("ML1", "ML2"):
+        c_const = -_clog(b.sum_inv) - b.mean_log
+        rule = (_ml1_rule if name == "ML1" else _ml2_rule)(b.n, c_const)
+        alpha, it, res, ok = _iterate(rule, alpha0, conv)
+        return alpha, b.n * alpha / b.sum_inv, it, res, ok, none
+    e_hat = scp.e + b.sum_inv
+    if name == "BL1":
+        rule = _bl1_rule(b.n, sp.log_a + b.sum_log, sp.b + b.n, sp.c + b.n,
+                         scp.d, _clog(e_hat))
+        alpha, it, res, ok = _iterate(rule, alpha0, conv)
+        return alpha, (scp.d + b.n * alpha) / e_hat, it, res, ok, none
+    if name == "BL2":
+        pp = options.poly_prior
+        w1t = np.full(len(b), pp.w1)
+        w2t = np.full(len(b), pp.w2)
+        rule = _bl2_rule(b.n, b.mean_log, _clog(b.sum_inv), pp.w1, pp.w2,
+                         w1t, w2t)
+        alpha, it, res, ok = _iterate(rule, alpha0, conv)
+        invalid = ok & ((w1t >= 0.0) | (w2t <= 0.0))
+        return alpha, (scp.d + b.n * alpha) / e_hat, it, res, ok, invalid
+    raise ValueError(f"unknown estimator {name!r}")
+
+
+def fit_batch(name: str, batch: StatsBatch,
+              options: FitOptions = FitOptions()) -> BatchFit:
+    """Run the estimator ``name`` (MM, ML1, ML2, BL1 or BL2) on every
+    element of ``batch``.
+
+    Each element gets the alpha, beta, iterations, convergence flag and
+    residual of the scalar ``fit_*`` on its stats, bit for bit.  Where the
+    scalar fit raises (n < 2, zero variance, a BL2 posterior with no
+    interior maximum, or a non-finite or non-positive estimate) the element
+    is marked failed instead.
+    """
+    size = len(batch)
+    alpha = np.full(size, math.nan)
+    beta = np.full(size, math.nan)
+    iterations = np.zeros(size, dtype=np.int64)
+    residual = np.full(size, math.nan)
+    converged = np.zeros(size, dtype=bool)
+    valid = np.flatnonzero((batch.n >= 2.0) & (batch.var > 0.0))
+    # Python floats overflow to inf and turn inf - inf into NaN silently,
+    # so these arrays do too; division by zero is handled by the rules.
+    with np.errstate(all="ignore"):
+        a, b, it, res, ok, invalid = _fit_valid(name, batch.take(valid),
+                                                options)
+    good = ~invalid & np.isfinite(a) & (a > 0.0) & np.isfinite(b) & (b > 0.0)
+    keep = valid[good]
+    alpha[keep], beta[keep] = a[good], b[good]
+    iterations[keep], residual[keep] = it[good], res[good]
+    converged[keep] = ok[good]
+    failed = np.ones(size, dtype=bool)
+    failed[keep] = False
+    return BatchFit(alpha, beta, iterations, converged, residual, failed)

@@ -3,8 +3,13 @@
 Draws truth parameters and samples per (size, simulation) from a
 splittable seed tree, runs the configured estimators on the shared
 sample, and records KL(truth || estimate), parameter bias, iteration
-counts and per-fit wall-clock time.  Emission is order-normalized CSV so
+counts and wall-clock time per fit.  Emission is order-normalized CSV so
 identical configs produce identical files (runtime column excepted).
+
+Sweeps run batched: each estimator fits all simulations of a size in one
+``fit_batch`` call, bit-identical to the scalar fitters, and ``runtime_s``
+is the batch's wall time divided by the number of simulations.  Single
+fits (``fit_by_name``, ``invgamma fit``) run the scalar ``fit_*``.
 """
 
 import math
@@ -17,13 +22,16 @@ import numpy as np
 
 from .distribution import InvGammaParams, kl_divergence, sample
 from .estimators import (
+    BatchFit,
     FitOptions,
     FitReport,
     ScaleGammaPrior,
     ShapePriorABC,
+    StatsBatch,
     SufficientStats,
     bl1_log_posterior_curve,
     compute_stats,
+    fit_batch,
     fit_bl1,
     fit_bl2,
     fit_ml1,
@@ -134,44 +142,54 @@ def fit_by_name(name: str, stats: SufficientStats,
     raise ValueError(f"unknown estimator {name!r}")
 
 
-def _simulate_one(cfg: ExperimentConfig, size: int, sim: int) -> list[SimulationRecord]:
+def _draw_stats(cfg: ExperimentConfig, size: int, sim: int):
+    """Truth and sample statistics of one simulation, from its own seed."""
     rng = child_rng(cfg.base_seed, size, sim)
     alpha_true = rng.uniform(*cfg.alpha_range)
     beta_true = rng.uniform(*cfg.beta_range)
     truth = InvGammaParams(alpha_true, beta_true)
-    stats = compute_stats(sample(truth, size, rng))
+    return truth, compute_stats(sample(truth, size, rng))
+
+
+def _fit_records(name: str, size: int, truths, fit: BatchFit,
+                 runtime: float) -> list[SimulationRecord]:
     records = []
-    for name in cfg.estimators:
-        t0 = time.perf_counter()
-        try:
-            report = fit_by_name(name, stats, cfg.fit)
-        except Exception:
-            report = None
-        runtime = time.perf_counter() - t0
-        if report is None:
+    for sim, truth in enumerate(truths):
+        if fit.failed[sim]:
             ah = bh = kl = ba = bb = math.nan
             iterations, converged = 0, False
         else:
-            ah, bh = report.params.alpha, report.params.beta
-            kl = kl_divergence(truth, report.params)
-            ba, bb = ah - alpha_true, bh - beta_true
-            iterations, converged = report.iterations, report.converged
-        records.append(SimulationRecord(size, sim, name, alpha_true, beta_true,
-                                        ah, bh, kl, ba, bb, iterations,
-                                        converged, runtime))
+            ah, bh = float(fit.alpha[sim]), float(fit.beta[sim])
+            kl = kl_divergence(truth, InvGammaParams(ah, bh))
+            ba, bb = ah - truth.alpha, bh - truth.beta
+            iterations = int(fit.iterations[sim])
+            converged = bool(fit.converged[sim])
+        records.append(SimulationRecord(size, sim, name, truth.alpha,
+                                        truth.beta, ah, bh, kl, ba, bb,
+                                        iterations, converged, runtime))
     return records
 
 
 def run_kl_experiment(cfg: ExperimentConfig) -> list[SimulationRecord]:
     """All simulation records, sorted by (N, sim, estimator).
 
-    Estimator failures become converged=False rows with NaN estimates;
-    the sweep itself never aborts.
+    Each sample is drawn and reduced on its own, so no sims x N matrix is
+    held; each estimator then fits all sims of a size in one ``fit_batch``
+    call, and ``runtime_s`` is that call's wall time divided by the number
+    of sims.  Fits whose scalar version raises a domain error become
+    converged=False rows with NaN estimates; any other error propagates.
     """
     records = []
     for size in cfg.sizes:
-        for sim in range(cfg.sims_per_size):
-            records.extend(_simulate_one(cfg, size, sim))
+        drawn = [_draw_stats(cfg, size, sim)
+                 for sim in range(cfg.sims_per_size)]
+        truths = [truth for truth, _ in drawn]
+        batch = StatsBatch.pack(stats for _, stats in drawn)
+        for name in cfg.estimators:
+            t0 = time.perf_counter()
+            fit = fit_batch(name, batch, cfg.fit)
+            runtime = (time.perf_counter() - t0) / len(truths)
+            records.extend(_fit_records(name, size, truths, fit, runtime))
     records.sort(key=lambda r: (r.N, r.sim, _ESTIMATOR_INDEX[r.estimator]))
     return records
 
@@ -209,20 +227,20 @@ def run_bias_experiment(cfg: ExperimentConfig) -> tuple[list[BiasAggregate],
 
 
 def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fractional ranks (ties get the group mean) and tie-group sizes."""
+    """Fractional ranks (ties get the group mean) and tie-group sizes.
+
+    A tie group spanning sorted positions i..j gets rank 0.5*(i+j) + 1,
+    which is exact in float64.
+    """
     order = np.argsort(values, kind="mergesort")
     sorted_vals = values[order]
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, values.size))
     ranks = np.empty(values.size, dtype=np.float64)
-    tie_sizes = []
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, np.array(tie_sizes, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (2 * starts + counts - 1) + 1.0, counts)
+    return ranks, counts.astype(np.float64)
 
 
 def wilcoxon_rank_sum(xs, ys) -> tuple[float, float]:

@@ -5,21 +5,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invgamma import (
+    ESTIMATORS,
     ConvergenceConfig,
     DegenerateSampleError,
+    FitOptions,
     InsufficientDataError,
     InvalidPosteriorError,
     InvGammaParams,
     PolyShapePrior,
     ScaleGammaPrior,
     ShapePriorABC,
+    StatsBatch,
     SufficientStats,
     bl1_log_posterior_curve,
     compute_stats,
     digamma,
+    fit_batch,
     fit_bl1,
+    fit_by_name,
     fit_bl2,
     fit_ml1,
     fit_ml2,
@@ -443,3 +450,69 @@ class TestConfigValidation:
             ShapePriorABC(0.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             PolyShapePrior(math.nan, 0.0, 0.0)
+
+
+# Option sets for the batch oracle: the defaults, an iteration cap that
+# stops the ML1/BL1 fixed points early, a BL2 prior whose posterior has no
+# interior maximum, and informative priors for both Bayesian fitters.
+BATCH_OPTIONS = (
+    FitOptions(),
+    FitOptions(conv=ConvergenceConfig(max_iter=2)),
+    FitOptions(poly_prior=PolyShapePrior(1.0, 1e12, 0.0)),
+    FitOptions(shape_prior=ShapePriorABC.with_a(2.0, 0.5, 0.5),
+               scale_prior=ScaleGammaPrior(2.0, 0.5),
+               poly_prior=PolyShapePrior(0.0, -1.0, 3.0)),
+)
+# What the scalar fitters raise: the domain errors, InvGammaParams'
+# ValueError for a non-finite or non-positive estimate, and the
+# ZeroDivisionError of ML2/BL2 on near-constant samples.
+SCALAR_RAISES = (InsufficientDataError, DegenerateSampleError,
+                 InvalidPosteriorError, ValueError, ZeroDivisionError)
+
+
+@st.composite
+def stats_rows(draw):
+    """Sufficient statistics of one sample: n in {1, 2, 3, 20, 5000}, a
+    truth with alpha from 0.3 to 300, or a constant sample, whose variance
+    is zero or at rounding level."""
+    n = draw(st.sampled_from((1, 2, 3, 20, 5000)))
+    beta = draw(st.floats(0.1, 100.0))
+    if draw(st.integers(0, 4)) == 0:
+        return compute_stats(np.full(n, beta))
+    alpha = math.exp(draw(st.floats(math.log(0.3), math.log(300.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return compute_stats(sample(InvGammaParams(alpha, beta), n, rng))
+
+
+class TestFitBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(stats_rows(), min_size=1, max_size=6),
+           options=st.sampled_from(BATCH_OPTIONS))
+    def test_matches_scalar_fits_bitwise(self, rows, options):
+        batch = StatsBatch.pack(rows)
+        for name in ESTIMATORS:
+            got = fit_batch(name, batch, options)
+            for k, stats in enumerate(rows):
+                try:
+                    want = fit_by_name(name, stats, options)
+                except SCALAR_RAISES:
+                    assert got.failed[k], (name, stats)
+                    continue
+                assert not got.failed[k], (name, stats)
+                assert (got.alpha[k], got.beta[k], got.iterations[k],
+                        got.converged[k], got.residual[k]) == (
+                    want.params.alpha, want.params.beta, want.iterations,
+                    want.converged, want.residual), (name, stats)
+
+    def test_failed_elements_are_nan(self):
+        rows = [compute_stats([2.0]), compute_stats([3.0, 3.0]),
+                compute_stats([1.0, 2.0, 4.0])]
+        fit = fit_batch("ML1", StatsBatch.pack(rows))
+        assert fit.failed.tolist() == [True, True, False]
+        assert np.isnan(fit.alpha[:2]).all() and np.isnan(fit.beta[:2]).all()
+        assert fit.iterations[:2].tolist() == [0, 0]
+        assert not fit.converged[:2].any()
+
+    def test_unknown_estimator(self):
+        with pytest.raises(ValueError):
+            fit_batch("XX", StatsBatch.pack([compute_stats([1.0, 2.0])]))

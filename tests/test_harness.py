@@ -22,12 +22,14 @@ from invgamma import (
     sample,
     wilcoxon_rank_sum,
 )
+from invgamma import estimators
 from invgamma.distribution import InvGammaParams
 from invgamma.harness import (
     BIAS_CSV_HEADER,
     CURVES_CSV_HEADER,
     DEFAULT_CURVE_VARIANTS,
     RECORDS_CSV_HEADER,
+    _midranks,
     aggregate_bias,
     child_rng,
     kl_by_estimator,
@@ -107,6 +109,31 @@ class TestRecords:
         assert all(not r.converged and math.isnan(r.alpha_hat) for r in bl2)
         mm = [r for r in records if r.estimator == "MM"]
         assert all(math.isfinite(r.kl) for r in mm)
+
+    def test_failure_rows_digest(self):
+        # sha256 of the records CSV without runtime_s for a sweep with NaN
+        # rows: every estimator fails at N=1, BL2's prior has no interior
+        # maximum at N=2 and N=30.  Pinned before sweeps were batched.
+        records = run_kl_experiment(ExperimentConfig(
+            sizes=(1, 2, 30), sims_per_size=4, base_seed=1,
+            fit=FitOptions(poly_prior=PolyShapePrior(1.0, 1e12, 0.0))))
+        assert sum(math.isnan(r.alpha_hat) for r in records) == 28
+        text = "".join(line.rsplit(",", 1)[0] + "\n"
+                       for line in records_to_csv(records).splitlines())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "28aa6180624f94a4069a92d630d36327e6245dde9e54d3ca9225390e57fef202")
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        # Only the estimators' domain errors become NaN rows; a bug inside
+        # a fitter aborts the sweep.
+        def broken(y):
+            raise TypeError("broken kernel")
+
+        monkeypatch.setattr(estimators, "_inv_digamma_array", broken)
+        cfg = ExperimentConfig(sizes=(30,), sims_per_size=2,
+                               estimators=("MM", "ML1"))
+        with pytest.raises(TypeError, match="broken kernel"):
+            run_kl_experiment(cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -192,6 +219,23 @@ class TestBiasExperiment:
         assert r.params.beta == pytest.approx(truth.beta, rel=1e-14)
 
 
+def midranks_loop(values):
+    """Oracle: midranks and tie-group sizes by walking the sorted values."""
+    order = np.argsort(values, kind="mergesort")
+    sv = values[order]
+    ranks = np.empty(values.size)
+    ties = []
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        ties.append(j - i + 1)
+        i = j + 1
+    return ranks, np.array(ties, dtype=np.float64)
+
+
 def exact_rank_sum_p(x, y):
     """Oracle: exhaustive permutation distribution of the U statistic."""
     comb = np.concatenate([x, y])
@@ -246,6 +290,17 @@ class TestWilcoxonRankSum:
                                method="asymptotic", use_continuity=True)
             assert stat == pytest.approx(float(ref.statistic), abs=1e-9)
             assert p == pytest.approx(float(ref.pvalue), rel=1e-9)
+
+    def test_midranks_match_loop(self):
+        rng = np.random.default_rng(11)
+        cases = [np.empty(0), np.array([3.0]), np.full(7, 2.5)]
+        cases += [rng.normal(0.0, 1.0, n).round(d)
+                  for n in (10, 57, 400) for d in (0, 1, 6)]
+        for values in cases:
+            ranks, ties = _midranks(values)
+            want_ranks, want_ties = midranks_loop(values)
+            assert np.array_equal(ranks, want_ranks)
+            assert np.array_equal(ties, want_ties)
 
     def test_handles_heavy_ties(self):
         x = [1.0] * 12

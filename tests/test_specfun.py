@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from invgamma import digamma, inv_digamma, ln_gamma, trigamma
+from invgamma.specfun import (
+    _digamma,
+    _inv_digamma,
+    _inv_digamma_array,
+    _psi_psi1_array,
+    _trigamma,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -151,3 +158,36 @@ class TestDerivativeConsistency:
             h = 1e-5 * x
             fd = (digamma(x + h) - digamma(x - h)) / (2 * h)
             assert abs(fd - trigamma(x)) <= 1e-6 * max(1.0, trigamma(x))
+
+
+class TestArrayKernels:
+    """The batched fitters' array kernels give the scalar kernels' bits."""
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        want = np.array(want, dtype=np.float64)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    # logspace(-3, 6), tiny arguments whose square is still normal, and the
+    # shift threshold from both sides.
+    XS = np.concatenate([np.logspace(-3, 6, 4001),
+                         [1e-150, 1e-100, 1e-30, 1e-17, 1e-8, 1e-5,
+                          np.nextafter(6.0, 0.0), 6.0, np.nextafter(6.0, 7.0)]])
+
+    def test_psi_psi1_match_scalar(self):
+        psi, psi1 = _psi_psi1_array(self.XS)
+        self.assert_bitwise(psi, [_digamma(x) for x in self.XS.tolist()])
+        self.assert_bitwise(psi1, [_trigamma(x) for x in self.XS.tolist()])
+
+    def test_inv_digamma_matches_scalar(self):
+        ys = np.concatenate([_psi_psi1_array(self.XS)[0],
+                             -np.logspace(np.log10(2.22), 8, 1001),
+                             np.linspace(-2.3, -2.1, 401),
+                             np.linspace(-1.0, 700.0, 701),
+                             [-2.22, np.nextafter(-2.22, -3.0)]])
+        self.assert_bitwise(_inv_digamma_array(ys),
+                            [_inv_digamma(y) for y in ys.tolist()])
+
+    def test_empty(self):
+        assert _inv_digamma_array(np.empty(0)).shape == (0,)
