@@ -462,8 +462,8 @@ class StatsBatch:
 class BatchFit:
     """Per-element results of ``fit_batch``.
 
-    ``failed`` marks the elements whose scalar fit raises; their alpha and
-    beta are NaN, iterations 0 and converged False.
+    ``failed`` marks the elements whose scalar fit raises; their alpha,
+    beta and residual are NaN, iterations 0 and converged False.
     """
 
     alpha: np.ndarray
@@ -475,7 +475,7 @@ class BatchFit:
 
 
 def _iterate(update, alpha0, conv: ConvergenceConfig):
-    """Fixed-point driver: ``alpha <- update(idx, alpha)`` for the elements
+    """The fixed-point loop: ``alpha <- update(idx, alpha)`` for the elements
     at positions ``idx`` that are still iterating, each stopping by the
     scalar loops' rule.  Returns (alpha, iterations, residual, converged).
 
