@@ -24,6 +24,7 @@ from .estimators import (
     PolyShapePrior,
     ScaleGammaPrior,
     ShapePriorABC,
+    SufficientStats,
     compute_stats,
 )
 from .harness import (
@@ -277,8 +278,9 @@ def _print_kl_summary(cfg: ExperimentConfig, records) -> None:
         print(f"N={size}  median KL: {medians}")
         pvals = []
         for a, b in itertools.combinations(cfg.estimators, 2):
-            xa, xb = by_est.get(a), by_est.get(b)
-            if xa is None or xb is None or xa.size + xb.size < 10:
+            xa, xb = by_est.get(a, ()), by_est.get(b, ())
+            # The rank-sum test needs finite KLs on both sides.
+            if not (len(xa) and len(xb)) or len(xa) + len(xb) < 10:
                 continue
             _, p = wilcoxon_rank_sum(xa, xb)
             pvals.append(f"{a}-{b}={p:.3g}")
@@ -333,7 +335,6 @@ def cmd_curves(args) -> int:
         return 2
     rng = np.random.default_rng(args.seed)
     if args.n == 0:
-        from .estimators import SufficientStats
         stats = SufficientStats.empty()
     else:
         stats = compute_stats(sample(truth, args.n, rng))

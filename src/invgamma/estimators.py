@@ -11,13 +11,16 @@
           likelihood; posterior update w~ = w + k, Laplace mean -w~2/w~1.
 
 Every estimator consumes a sample only through ``SufficientStats``.
-Iteration stops when the relative change of alpha drops to ``rel_tol``;
-the scale estimate is computed once afterwards.
+ML1, ML2, BL1 and BL2 each pass a one-step update of alpha to
+``_fixed_point``, which stops when the relative change of alpha drops to
+``rel_tol``; the scale estimate is computed once afterwards.
 
 ``fit_batch`` runs one estimator over a ``StatsBatch`` of many samples as
-masked numpy arrays.  Its update rules repeat the scalar loops operation for
-operation, so every element gets the bits the scalar ``fit_*`` would give,
-and a domain error marks the element failed instead of raising.
+masked numpy arrays.  Its driver ``_iterate`` stops each element by the
+rules of ``_fixed_point``, and its update rules repeat the scalar steps
+operation for operation, so every element gets the bits the scalar
+``fit_*`` would give, and a domain error marks the element failed instead
+of raising.
 """
 
 import math
@@ -41,7 +44,9 @@ class InsufficientDataError(ValueError):
 
 
 class DegenerateSampleError(ValueError):
-    """Sample variance is zero; the moment initialization is undefined."""
+    """Sample variance is zero, so the moment initialization is undefined,
+    or the sample is so close to constant that the ML2/BL2 update divides
+    by zero."""
 
 
 class InvalidPosteriorError(RuntimeError):
@@ -231,30 +236,49 @@ def profile_log_likelihood(stats: SufficientStats, alpha: float) -> float:
                            - math.log(stats.sum_inv) - 1.0))
 
 
+def _surrogate_k(stats: SufficientStats, alpha: float) -> tuple[float, float]:
+    # k1 and k2 of the k0 + k1*a + k2*log(a) surrogate at ``alpha``.
+    n = stats.n
+    tg = _trigamma(alpha)
+    k1 = n * (-stats.mean_log - _digamma(alpha) + math.log(n * alpha)
+              - math.log(stats.sum_inv) - alpha * tg + 1.0)
+    k2 = n * (alpha * alpha * tg - alpha)
+    return k1, k2
+
+
 def quad_approx_coeffs(stats: SufficientStats, alpha: float) -> QuadLogLikApprox:
     """Match value and two derivatives of the profile log-likelihood with
     k0 + k1*alpha + k2*log(alpha) at the expansion point."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    n = stats.n
-    tg = _trigamma(alpha)
-    k2 = n * (alpha * alpha * tg - alpha)
-    k1 = n * (-stats.mean_log - _digamma(alpha) + math.log(n * alpha)
-              - math.log(stats.sum_inv) - alpha * tg + 1.0)
+    k1, k2 = _surrogate_k(stats, alpha)
     k0 = profile_log_likelihood(stats, alpha) - k1 * alpha - k2 * math.log(alpha)
     return QuadLogLikApprox(k0, k1, k2, alpha)
 
 
-def _ml1_loop(n, c_const, alpha, rel_tol, max_iter):
-    it = 0
-    res = math.inf
-    while it < max_iter:
-        it += 1
-        nxt = _inv_digamma(math.log(n * alpha) + c_const)
+def _fixed_point(step, alpha: float, conv: ConvergenceConfig):
+    """The fixed-point loop: ``alpha <- step(alpha)`` until the relative
+    change drops to ``conv.rel_tol``, ``conv.max_iter`` steps have run, or a
+    step is NaN.  Returns (alpha, iterations, residual, converged).
+
+    NaN is absorbing for every update rule, so a NaN step ends the loop
+    and the fit fails when its estimate is built.  A division by zero in a
+    step, as in the ML2/BL2 update on near-constant samples, raises
+    ``DegenerateSampleError``.
+    """
+    for it in range(1, conv.max_iter + 1):
+        try:
+            nxt = step(alpha)
+        except ZeroDivisionError:
+            raise DegenerateSampleError(
+                f"update divides by zero at alpha={alpha:g}; "
+                "the sample is too close to constant") from None
         res = abs(nxt - alpha) / alpha
         alpha = nxt
-        if res <= rel_tol:
+        if res <= conv.rel_tol:
             return alpha, it, res, True
+        if math.isnan(nxt):
+            break
     return alpha, it, res, False
 
 
@@ -267,66 +291,20 @@ def _guarded(alpha, nxt):
     return math.sqrt(alpha * floor)
 
 
-def _ml2_loop(n, c_const, alpha, rel_tol, max_iter):
-    it = 0
-    res = math.inf
-    while it < max_iter:
-        it += 1
-        num = c_const - _digamma(alpha) + math.log(n * alpha)
-        den = alpha * alpha * (1.0 / alpha - _trigamma(alpha))
-        nxt = _guarded(alpha, 1.0 / (1.0 / alpha + num / den))
-        res = abs(nxt - alpha) / alpha
-        alpha = nxt
-        if res <= rel_tol:
-            return alpha, it, res, True
-    return alpha, it, res, False
-
-
-def _bl1_loop(n, log_a_hat, b_hat, c_hat, d, log_e_hat, alpha, rel_tol, max_iter):
-    it = 0
-    res = math.inf
-    while it < max_iter:
-        it += 1
-        arg = (-log_a_hat + c_hat * (math.log(d + n * alpha) - log_e_hat)) / b_hat
-        nxt = _inv_digamma(arg)
-        res = abs(nxt - alpha) / alpha
-        alpha = nxt
-        if res <= rel_tol:
-            return alpha, it, res, True
-    return alpha, it, res, False
-
-
-def _bl2_loop(n, mean_log, log_sum_inv, w1, w2, alpha, rel_tol, max_iter):
-    it = 0
-    res = math.inf
-    w1t = w1
-    w2t = w2
-    while it < max_iter:
-        it += 1
-        tg = _trigamma(alpha)
-        k2 = n * (alpha * alpha * tg - alpha)
-        k1 = n * (-mean_log - _digamma(alpha) + math.log(n * alpha)
-                  - log_sum_inv - alpha * tg + 1.0)
-        w1t = w1 + k1
-        w2t = w2 + k2
-        nxt = _guarded(alpha, -w2t / w1t)
-        res = abs(nxt - alpha) / alpha
-        alpha = nxt
-        if res <= rel_tol:
-            return alpha, it, res, True, w1t, w2t
-    return alpha, it, res, False, w1t, w2t
-
-
 def fit_ml1(stats: SufficientStats,
             cfg: ConvergenceConfig = ConvergenceConfig()) -> FitReport:
     """Tangent-bound fixed point; each step cannot decrease the profile
     log-likelihood."""
     alpha0 = _mm_alpha(stats)
+    n = stats.n
     c_const = -math.log(stats.sum_inv) - stats.mean_log
-    alpha, it, res, conv = _ml1_loop(float(stats.n), c_const, alpha0,
-                                     cfg.rel_tol, cfg.max_iter)
-    beta = stats.n * alpha / stats.sum_inv
-    return FitReport(InvGammaParams(alpha, beta), it, bool(conv), res)
+
+    def step(alpha):
+        return _inv_digamma(math.log(n * alpha) + c_const)
+
+    alpha, it, res, conv = _fixed_point(step, alpha0, cfg)
+    beta = n * alpha / stats.sum_inv
+    return FitReport(InvGammaParams(alpha, beta), it, conv, res)
 
 
 def fit_ml2(stats: SufficientStats,
@@ -334,11 +312,17 @@ def fit_ml2(stats: SufficientStats,
     """Surrogate-based update on 1/alpha; same fixed point as ML1 but
     typically converges in a few iterations."""
     alpha0 = _mm_alpha(stats)
+    n = stats.n
     c_const = -math.log(stats.sum_inv) - stats.mean_log
-    alpha, it, res, conv = _ml2_loop(float(stats.n), c_const, alpha0,
-                                     cfg.rel_tol, cfg.max_iter)
-    beta = stats.n * alpha / stats.sum_inv
-    return FitReport(InvGammaParams(alpha, beta), it, bool(conv), res)
+
+    def step(alpha):
+        num = c_const - _digamma(alpha) + math.log(n * alpha)
+        den = alpha * alpha * (1.0 / alpha - _trigamma(alpha))
+        return _guarded(alpha, 1.0 / (1.0 / alpha + num / den))
+
+    alpha, it, res, conv = _fixed_point(step, alpha0, cfg)
+    beta = n * alpha / stats.sum_inv
+    return FitReport(InvGammaParams(alpha, beta), it, conv, res)
 
 
 def scale_posterior(stats: SufficientStats, prior: ScaleGammaPrior,
@@ -368,14 +352,18 @@ def fit_bl1(stats: SufficientStats,
     log_a_hat = shape_prior.log_a + stats.sum_log
     b_hat = shape_prior.b + n
     c_hat = shape_prior.c + n
+    d = scale_prior.d
     e_hat = scale_prior.e + stats.sum_inv
-    alpha, it, res, conv = _bl1_loop(float(n), log_a_hat, b_hat, c_hat,
-                                     scale_prior.d, math.log(e_hat), alpha0,
-                                     cfg.rel_tol, cfg.max_iter)
-    d_hat = scale_prior.d + n * alpha
-    beta = d_hat / e_hat
+    log_e_hat = math.log(e_hat)
+
+    def step(alpha):
+        return _inv_digamma(
+            (-log_a_hat + c_hat * (math.log(d + n * alpha) - log_e_hat)) / b_hat)
+
+    alpha, it, res, conv = _fixed_point(step, alpha0, cfg)
+    beta = (d + n * alpha) / e_hat
     posterior = LaplaceSummary(alpha, b_hat * _trigamma(alpha))
-    return FitReport(InvGammaParams(alpha, beta), it, bool(conv), res, posterior)
+    return FitReport(InvGammaParams(alpha, beta), it, conv, res, posterior)
 
 
 def fit_bl2(stats: SufficientStats,
@@ -387,17 +375,22 @@ def fit_bl2(stats: SufficientStats,
     Flat prior (w1 = w2 = 0) reproduces the ML2 iteration exactly.
     """
     alpha0 = _mm_alpha(stats)
-    alpha, it, res, conv, w1t, w2t = _bl2_loop(
-        float(stats.n), stats.mean_log, math.log(stats.sum_inv),
-        poly_prior.w1, poly_prior.w2, alpha0, cfg.rel_tol, cfg.max_iter)
+    w1t, w2t = poly_prior.w1, poly_prior.w2
+
+    def step(alpha):
+        nonlocal w1t, w2t
+        k1, k2 = _surrogate_k(stats, alpha)
+        w1t = poly_prior.w1 + k1
+        w2t = poly_prior.w2 + k2
+        return _guarded(alpha, -w2t / w1t)
+
+    alpha, it, res, conv = _fixed_point(step, alpha0, cfg)
     if conv and (w1t >= 0.0 or w2t <= 0.0):
         raise InvalidPosteriorError(
             f"posterior weights w1~={w1t}, w2~={w2t} admit no interior maximum")
-    d_hat = scale_prior.d + stats.n * alpha
-    e_hat = scale_prior.e + stats.sum_inv
-    beta = d_hat / e_hat
+    beta = (scale_prior.d + stats.n * alpha) / (scale_prior.e + stats.sum_inv)
     posterior = LaplaceSummary(-w2t / w1t, w2t / (alpha * alpha))
-    return FitReport(InvGammaParams(alpha, beta), it, bool(conv), res, posterior)
+    return FitReport(InvGammaParams(alpha, beta), it, conv, res, posterior)
 
 
 def bl1_log_posterior_curve(stats: SufficientStats,
@@ -475,12 +468,13 @@ class BatchFit:
 
 
 def _iterate(update, alpha0, conv: ConvergenceConfig):
-    """The fixed-point loop: ``alpha <- update(idx, alpha)`` for the elements
-    at positions ``idx`` that are still iterating, each stopping by the
-    scalar loops' rule.  Returns (alpha, iterations, residual, converged).
+    """The batched fixed-point loop: ``alpha <- update(idx, alpha)`` for
+    the elements at positions ``idx`` that are still iterating, each
+    stopping by the rule of ``_fixed_point``.  Returns (alpha, iterations,
+    residual, converged).
 
-    An element whose update is NaN also stops, and its fit fails: the
-    rules return NaN where the scalar loop raises, and map NaN to NaN.
+    An element whose update is NaN stops there and its fit fails: the
+    rules return NaN where the scalar step raises, and map NaN to NaN.
     """
     alpha = alpha0.copy()
     iterations = np.zeros(alpha.size, dtype=np.int64)
@@ -509,9 +503,10 @@ def _guarded_array(alpha, nxt):
 
 
 def _raises_where(zero_div, nxt):
-    # The scalar loop raises ZeroDivisionError where ``zero_div`` holds, as
-    # it does for near-constant samples (alpha0 above about 1e16); NaN ends
-    # the element's iteration and fails its fit.
+    # The scalar step divides by zero where ``zero_div`` holds, as it does
+    # for near-constant samples (alpha0 above about 1e16), and the scalar
+    # fit raises DegenerateSampleError; NaN ends the element's iteration and
+    # fails its fit.
     return np.where(zero_div, math.nan, nxt)
 
 
@@ -557,25 +552,25 @@ def _bl2_rule(n, mean_log, log_sum_inv, w1, w2, w1t, w2t):
 
 def _fit_valid(name: str, b: StatsBatch, options: FitOptions):
     """``fit_batch`` on elements with n >= 2 and var > 0.  Returns (alpha,
-    beta, iterations, residual, converged, invalid posterior)."""
+    beta, iterations, residual, converged); alpha is NaN where the BL2
+    posterior has no interior maximum."""
     alpha0 = b.mean * b.mean / b.var + 2.0
-    none = np.zeros(len(b), dtype=bool)
     if name == "MM":
         return (alpha0, b.mean * (alpha0 - 1.0), np.zeros(len(b), np.int64),
-                np.zeros(len(b)), np.ones(len(b), dtype=bool), none)
+                np.zeros(len(b)), np.ones(len(b), dtype=bool))
     conv = options.conv
     sp, scp = options.shape_prior, options.scale_prior
     if name in ("ML1", "ML2"):
         c_const = -_clog(b.sum_inv) - b.mean_log
         rule = (_ml1_rule if name == "ML1" else _ml2_rule)(b.n, c_const)
         alpha, it, res, ok = _iterate(rule, alpha0, conv)
-        return alpha, b.n * alpha / b.sum_inv, it, res, ok, none
+        return alpha, b.n * alpha / b.sum_inv, it, res, ok
     e_hat = scp.e + b.sum_inv
     if name == "BL1":
         rule = _bl1_rule(b.n, sp.log_a + b.sum_log, sp.b + b.n, sp.c + b.n,
                          scp.d, _clog(e_hat))
         alpha, it, res, ok = _iterate(rule, alpha0, conv)
-        return alpha, (scp.d + b.n * alpha) / e_hat, it, res, ok, none
+        return alpha, (scp.d + b.n * alpha) / e_hat, it, res, ok
     if name == "BL2":
         pp = options.poly_prior
         w1t = np.full(len(b), pp.w1)
@@ -583,8 +578,8 @@ def _fit_valid(name: str, b: StatsBatch, options: FitOptions):
         rule = _bl2_rule(b.n, b.mean_log, _clog(b.sum_inv), pp.w1, pp.w2,
                          w1t, w2t)
         alpha, it, res, ok = _iterate(rule, alpha0, conv)
-        invalid = ok & ((w1t >= 0.0) | (w2t <= 0.0))
-        return alpha, (scp.d + b.n * alpha) / e_hat, it, res, ok, invalid
+        alpha[ok & ((w1t >= 0.0) | (w2t <= 0.0))] = math.nan
+        return alpha, (scp.d + b.n * alpha) / e_hat, it, res, ok
     raise ValueError(f"unknown estimator {name!r}")
 
 
@@ -595,7 +590,8 @@ def fit_batch(name: str, batch: StatsBatch,
 
     Each element gets the alpha, beta, iterations, convergence flag and
     residual of the scalar ``fit_*`` on its stats, bit for bit.  Where the
-    scalar fit raises (n < 2, zero variance, a BL2 posterior with no
+    scalar fit raises (n < 2, zero variance, a near-constant sample that
+    makes the ML2/BL2 update divide by zero, a BL2 posterior with no
     interior maximum, or a non-finite or non-positive estimate) the element
     is marked failed instead.
     """
@@ -609,9 +605,8 @@ def fit_batch(name: str, batch: StatsBatch,
     # Python floats overflow to inf and turn inf - inf into NaN silently,
     # so these arrays do too; division by zero is handled by the rules.
     with np.errstate(all="ignore"):
-        a, b, it, res, ok, invalid = _fit_valid(name, batch.take(valid),
-                                                options)
-    good = ~invalid & np.isfinite(a) & (a > 0.0) & np.isfinite(b) & (b > 0.0)
+        a, b, it, res, ok = _fit_valid(name, batch.take(valid), options)
+    good = np.isfinite(a) & (a > 0.0) & np.isfinite(b) & (b > 0.0)
     keep = valid[good]
     alpha[keep], beta[keep] = a[good], b[good]
     iterations[keep], residual[keep] = it[good], res[good]

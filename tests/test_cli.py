@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output values, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -81,6 +82,15 @@ class TestFit:
     def test_degenerate_sample_exits_4(self):
         res = run_cli("fit", "--estimator", "ml1", stdin="2\n2\n2\n")
         assert res.returncode == 4
+
+    def test_near_constant_surrogate_exits_4(self):
+        # The ML2 update divides by zero on this sample; the fit reports a
+        # degenerate sample instead of a traceback.
+        res = run_cli("fit", "--estimator", "ml2", stdin="1.0101\n" * 20)
+        assert res.returncode == 4
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invgamma: "), lines
 
     def test_strict_nonconvergence_exits_4(self):
         res = run_cli("fit", "--estimator", "ml1", "--strict", "--max-iter", "1",
@@ -171,6 +181,23 @@ class TestBenchmark:
             outs.append("\n".join(",".join(line.split(",")[:-1])
                                   for line in out.read_text().splitlines()))
         assert outs[0] == outs[1]
+
+    def test_estimator_without_finite_kl(self, tmp_path):
+        # BL2's prior has no interior maximum, so BL2 has no finite KL at
+        # any size and its rank-sum pairs are skipped.  The digest of CSV
+        # columns 1-12 was pinned before the scalar fitters shared one
+        # fixed-point driver.
+        out = tmp_path / "bench.csv"
+        res = run_cli("benchmark", "--sizes", "1,2,3,30", "--sims", "40",
+                      "--seed", "3", "--w1", "1e12", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        pvals = [line for line in res.stdout.splitlines()
+                 if line.startswith("N=30  rank-sum p: ")]
+        assert len(pvals) == 1 and "BL2" not in pvals[0]
+        text = "".join(",".join(line.split(",")[:12]) + "\n"
+                       for line in out.read_text().splitlines())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6111472ce619b1a23875f0b96eb6b0d320ec35dc2d9cdf871b88f6f37a93cbb1")
 
     def test_unwritable_output_exits_5(self, tmp_path):
         res = run_cli("benchmark", "--sizes", "40", "--sims", "2",

@@ -42,6 +42,7 @@ from invgamma import (
     sample,
     trigamma,
 )
+from invgamma import estimators
 from conftest import make_dataset
 
 FLAT_SHAPE = ShapePriorABC.with_a(1.0, 1e-8, 1e-8)
@@ -436,6 +437,47 @@ class TestFixedPointIdentity:
                 assert gap <= 10 * tol
 
 
+class TestFixedPointStops:
+    def test_nan_step_stops_at_once(self, monkeypatch, demo_stats):
+        # NaN is absorbing for every update rule, so the loop stops at the
+        # first NaN step instead of running out its iteration cap.
+        calls = []
+
+        def nan_inv_digamma(y):
+            calls.append(y)
+            return math.nan
+
+        monkeypatch.setattr(estimators, "_inv_digamma", nan_inv_digamma)
+        for fitter in (fit_ml1, fit_bl1):
+            calls.clear()
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                fitter(demo_stats)
+            assert len(calls) == 1, fitter.__name__
+
+    def test_near_constant_surrogate_is_degenerate(self):
+        # The moment estimate is about 2e31, where 1/alpha - trigamma(alpha)
+        # rounds to zero and the ML2 update divides by it.
+        s = compute_stats([1.0101] * 20)
+        with pytest.raises(DegenerateSampleError, match="too close to constant"):
+            fit_ml2(s)
+
+
+class TestMlAgreement:
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(2.5, 15.0), beta=st.floats(1.0, 50.0),
+           n=st.integers(20, 5000), seed=st.integers(0, 2 ** 32 - 1))
+    def test_ml1_matches_ml2(self, alpha, beta, n, seed):
+        # ML1 stops about 2 alpha rel_tol short of the fixed point ML2
+        # reaches, which exceeds 1e-4 only for alpha_hat above about 50.
+        x = sample(InvGammaParams(alpha, beta), n, np.random.default_rng(seed))
+        s = compute_stats(x)
+        cfg = ConvergenceConfig()
+        r1, r2 = fit_ml1(s, cfg), fit_ml2(s, cfg)
+        assert r1.converged and r2.converged
+        a1 = r1.params.alpha
+        assert abs(a1 - r2.params.alpha) / a1 <= max(1e-4, 3 * cfg.rel_tol * a1)
+
+
 class TestConfigValidation:
     def test_convergence_config(self):
         with pytest.raises(ValueError):
@@ -463,11 +505,11 @@ BATCH_OPTIONS = (
                scale_prior=ScaleGammaPrior(2.0, 0.5),
                poly_prior=PolyShapePrior(0.0, -1.0, 3.0)),
 )
-# What the scalar fitters raise: the domain errors, InvGammaParams'
-# ValueError for a non-finite or non-positive estimate, and the
-# ZeroDivisionError of ML2/BL2 on near-constant samples.
+# What the scalar fitters raise: the domain errors, including the
+# DegenerateSampleError of ML2/BL2 on near-constant samples, and
+# InvGammaParams' ValueError for a non-finite or non-positive estimate.
 SCALAR_RAISES = (InsufficientDataError, DegenerateSampleError,
-                 InvalidPosteriorError, ValueError, ZeroDivisionError)
+                 InvalidPosteriorError, ValueError)
 
 
 @st.composite
