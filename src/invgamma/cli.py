@@ -43,8 +43,10 @@ from .harness import (
     write_records_csv,
 )
 
-# Lines per stdout write in ``sample``: one string for 1e6 values would
-# outweigh the sample array itself.
+# Values per chunk at both ends of the pipe: ``sample`` formats and writes
+# this many lines per stdout write, and ``fit`` parses this many input lines
+# per C-level pass.  One string or list for 1e6 values would outweigh the
+# sample array itself.
 _EMIT_CHUNK = 65536
 
 
@@ -148,25 +150,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_sample(path: str) -> np.ndarray:
-    fh = sys.stdin if path == "-" else open(path)
+def _parse_lines(lines, first_lineno: int) -> np.ndarray:
+    """Parse line by line, skipping blank lines; raise ``_InputError``
+    naming the first bad line, numbered from ``first_lineno``."""
     values = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            v = float(text)
+        except ValueError:
+            raise _InputError(2, f"line {lineno}: not a number: {text!r}")
+        if not math.isfinite(v) or v <= 0.0:
+            raise _InputError(3, f"line {lineno}: non-positive value {text}")
+        values.append(v)
+    return np.array(values, dtype=np.float64)
+
+
+def _read_sample(path: str) -> np.ndarray:
+    # Only iterate the input: a traced run swaps stdin for a line iterator.
+    fh = sys.stdin if path == "-" else open(path)
+    parts = []
+    first = 1
     try:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
+        lines = iter(fh)
+        while chunk := list(itertools.islice(lines, _EMIT_CHUNK)):
+            # float(line) strips the same whitespace as float(line.strip()),
+            # so this pass accepts only what _parse_lines accepts, with the
+            # same values.  A blank or bad line sends the chunk there.
             try:
-                v = float(text)
+                arr = np.fromiter(map(float, chunk), np.float64, len(chunk))
+                ok = (arr > 0.0).all() and np.isfinite(arr).all()
             except ValueError:
-                raise _InputError(2, f"line {lineno}: not a number: {text!r}")
-            if not math.isfinite(v) or v <= 0.0:
-                raise _InputError(3, f"line {lineno}: non-positive value {text}")
-            values.append(v)
+                ok = False
+            if not ok:
+                arr = _parse_lines(chunk, first)
+            parts.append(arr)
+            first += len(chunk)
     finally:
         if fh is not sys.stdin:
             fh.close()
-    return np.array(values, dtype=np.float64)
+    return np.concatenate(parts or [np.empty(0)])
 
 
 class _InputError(Exception):
@@ -253,8 +278,9 @@ def cmd_sample(args) -> int:
         return 2
     x = sample(p, args.n, np.random.default_rng(args.seed))
     for lo in range(0, x.size, _EMIT_CHUNK):
-        chunk = x[lo:lo + _EMIT_CHUNK].tolist()
-        sys.stdout.write("\n".join(map(fmt_float, chunk)) + "\n")
+        chunk = tuple(x[lo:lo + _EMIT_CHUNK].tolist())
+        # One C formatting call per chunk, with fmt_float's "%.17g" bytes.
+        sys.stdout.write(("%.17g\n" * len(chunk)) % chunk)
     return 0
 
 

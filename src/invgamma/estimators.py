@@ -44,9 +44,9 @@ class InsufficientDataError(ValueError):
 
 
 class DegenerateSampleError(ValueError):
-    """Sample variance is zero, so the moment initialization is undefined,
-    or the sample is so close to constant that the ML2/BL2 update divides
-    by zero."""
+    """Sample variance is zero, so the moment initialization is undefined;
+    the moments overflow float64, so it is not finite; or the sample is so
+    close to constant that the ML2/BL2 update divides by zero."""
 
 
 class InvalidPosteriorError(RuntimeError):
@@ -177,7 +177,9 @@ class FitReport:
 def compute_stats(x) -> SufficientStats:
     """Reduce a positive sample to its sufficient statistics.
 
-    Variance is the two-pass n-1 estimator; NaN when n < 2.
+    Variance is the two-pass n-1 estimator; NaN when n < 2.  Values near
+    the limits of float64 can overflow a statistic to inf without a
+    warning; the fitters then raise ``DegenerateSampleError``.
     """
     arr = np.asarray(x, dtype=np.float64).ravel()
     if arr.size < 1:
@@ -185,14 +187,15 @@ def compute_stats(x) -> SufficientStats:
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("samples must be finite and > 0")
     n = int(arr.size)
-    mu = float(arr.mean())
-    if n >= 2:
-        dev = arr - mu
-        var = float(np.dot(dev, dev) / (n - 1))
-    else:
-        var = math.nan
-    sum_inv = float(np.sum(1.0 / arr))
-    sum_log = float(np.sum(np.log(arr)))
+    with np.errstate(over="ignore", divide="ignore"):
+        mu = float(arr.mean())
+        if n >= 2:
+            dev = arr - mu
+            var = float(np.dot(dev, dev) / (n - 1))
+        else:
+            var = math.nan
+        sum_inv = float(np.sum(1.0 / arr))
+        sum_log = float(np.sum(np.log(arr)))
     return SufficientStats(n, mu, var, sum_inv, sum_log, sum_log / n)
 
 
@@ -202,7 +205,12 @@ def _mm_alpha(stats: SufficientStats) -> float:
             f"moment initialization needs n >= 2, got n={stats.n}")
     if not stats.var > 0.0:
         raise DegenerateSampleError("sample variance is zero or undefined")
-    return stats.mean * stats.mean / stats.var + 2.0
+    alpha = stats.mean * stats.mean / stats.var + 2.0
+    if not math.isfinite(alpha):
+        raise DegenerateSampleError(
+            f"moment estimate of alpha is {alpha}: the sample's moments "
+            "overflow float64")
+    return alpha
 
 
 def fit_mm(stats: SufficientStats) -> FitReport:
@@ -372,7 +380,11 @@ def fit_bl2(stats: SufficientStats,
             cfg: ConvergenceConfig = ConvergenceConfig()) -> FitReport:
     """Surrogate-likelihood conjugate update w~ = w + k, alpha <- -w~2/w~1.
 
-    Flat prior (w1 = w2 = 0) reproduces the ML2 iteration exactly.
+    With the flat prior (w1 = w2 = 0) the update is ML2's algebraically,
+    but it rounds differently: -k2/k1 and ML2's 1/(1/alpha + num/den)
+    drift apart once alpha is about 1e16 or more.  On near-constant samples ML2 then raises
+    ``DegenerateSampleError`` while BL2 runs to ``max_iter`` unconverged
+    (``converged`` is False; ``invgamma fit --strict`` exits 4).
     """
     alpha0 = _mm_alpha(stats)
     w1t, w2t = poly_prior.w1, poly_prior.w2

@@ -6,11 +6,22 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from invgamma import InvGammaParams, compute_stats, fit_mm, kl_divergence, sample
+from invgamma import (
+    InvGammaParams,
+    compute_stats,
+    fit_ml1,
+    fit_mm,
+    kl_divergence,
+    sample,
+)
+from invgamma import cli
 from invgamma.harness import RECORDS_CSV_HEADER, read_records_csv
 
 
@@ -92,6 +103,30 @@ class TestFit:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("invgamma: "), lines
 
+    @pytest.mark.parametrize("stdin", [
+        "1e308\n1.5e308\n1e307\n",   # mean and variance overflow to inf
+        "1e-320\n2e-320\n3e-320\n",  # sum of 1/x overflows, variance is 0
+    ])
+    def test_float64_limits_exit_4(self, stdin):
+        res = run_cli("fit", "--estimator", "ml1", stdin=stdin)
+        assert res.returncode == 4
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invgamma: "), lines
+
+    def test_bl2_near_constant_does_not_converge(self):
+        # On this sample the flat-prior BL2 update rounds differently from
+        # ML2's (which divides by zero): it runs out its iterations instead.
+        res = run_cli("fit", "--estimator", "bl2", stdin="1.0101\n" * 20)
+        assert res.returncode == 0
+        assert parse_kv(res.stdout)["converged"] == "false"
+        res = run_cli("fit", "--estimator", "bl2", "--strict",
+                      stdin="1.0101\n" * 20)
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert res.stderr.startswith("invgamma: BL2 did not converge within "
+                                     "1000 iterations")
+
     def test_strict_nonconvergence_exits_4(self):
         res = run_cli("fit", "--estimator", "ml1", "--strict", "--max-iter", "1",
                       stdin="0.5\n1.2\n0.8\n2.0\n1.1\n")
@@ -100,6 +135,148 @@ class TestFit:
     def test_unknown_flag_exits_2(self):
         res = run_cli("fit", "--estimator", "mm", "--nope", stdin="1\n2\n")
         assert res.returncode == 2
+
+
+def _sample_lines(n: int, seed: int) -> list[str]:
+    x = sample(InvGammaParams(0.6, 2.0), n, np.random.default_rng(seed))
+    return [f"{v:.17g}" for v in x]
+
+
+class TestFitInput:
+    """The chunked reader: same values, exit codes and messages as a
+    line-by-line parse, wherever the lines fall in the chunks."""
+
+    @pytest.mark.parametrize("bad, code, msg", [
+        ("bogus", 2, "not a number: 'bogus'"),
+        ("-2.5", 3, "non-positive value -2.5"),
+    ])
+    def test_bad_line_in_second_chunk(self, bad, code, msg):
+        lines = _sample_lines(70_010, 1)
+        lines[70_000] = bad
+        res = run_cli("fit", "--estimator", "mm",
+                      stdin="".join(f"{t}\n" for t in lines))
+        assert res.returncode == code
+        assert res.stdout == ""
+        assert res.stderr == f"invgamma: line 70001: {msg}\n"
+
+    @pytest.mark.parametrize("token, code, msg", [
+        ("1 2", 2, "not a number: '1 2'"),
+        ("nan", 3, "non-positive value nan"),
+        ("inf", 3, "non-positive value inf"),
+        ("0", 3, "non-positive value 0"),
+        ("-1", 3, "non-positive value -1"),
+    ])
+    def test_bad_token(self, token, code, msg):
+        res = run_cli("fit", "--estimator", "mm", stdin=f"1\n{token}\n3\n")
+        assert res.returncode == code
+        assert res.stderr == f"invgamma: line 2: {msg}\n"
+
+    def test_empty_input_exits_4(self):
+        res = run_cli("fit", "--estimator", "mm", stdin="")
+        assert res.returncode == 4
+        assert res.stderr == "invgamma: need at least one sample\n"
+
+    @pytest.mark.parametrize("via", ["stdin", "file"])
+    def test_messy_input_matches_library(self, tmp_path, via):
+        # Blank and padded lines across three chunks, CRLF line ends and no
+        # newline after the last value.
+        values = _sample_lines(150_000, 2)
+        rng = np.random.default_rng(3)
+        lines = list(values)
+        for pos in sorted(rng.integers(0, len(lines), 300), reverse=True):
+            lines.insert(pos, ("", "  ", "\t", f" {lines[pos]}\t ")[pos % 4])
+        text = "\r\n".join(lines)
+        if via == "file":
+            path = tmp_path / "data.txt"
+            path.write_bytes(text.encode())
+            res = run_cli("fit", "--estimator", "ml1", "--json",
+                          "--input", str(path))
+        else:
+            res = run_cli("fit", "--estimator", "ml1", "--json", stdin=text)
+        assert res.returncode == 0, res.stderr
+        got = json.loads(res.stdout)
+        stats = compute_stats(np.array([float(t) for t in lines if t.strip()]))
+        want = fit_ml1(stats)
+        assert stats.n > len(values)  # the padded copies count as values
+        assert (got["alpha"], got["beta"], got["n"], got["iterations"],
+                got["converged"], got["residual"]) == (
+            want.params.alpha, want.params.beta, stats.n, want.iterations,
+            want.converged, want.residual)
+
+
+def read_sample_reference(lines) -> np.ndarray:
+    """Oracle: the line-by-line reader that ``_read_sample`` replaced."""
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            v = float(text)
+        except ValueError:
+            raise cli._InputError(2, f"line {lineno}: not a number: {text!r}")
+        if not math.isfinite(v) or v <= 0.0:
+            raise cli._InputError(3, f"line {lineno}: non-positive value {text}")
+        values.append(v)
+    return np.array(values, dtype=np.float64)
+
+
+class _LineIterable:
+    """Input with ``__iter__`` only, like the traced benchmark's stdin."""
+
+    def __init__(self, lines):
+        self._lines = lines
+
+    def __iter__(self):
+        yield from self._lines
+
+
+def _outcome(read, lines):
+    try:
+        return "ok", read(_LineIterable(lines))
+    except cli._InputError as exc:
+        return "error", exc.code, str(exc)
+
+
+CHUNK_EDGES = (0, 1, 65_535, 65_536, 65_537, 131_071, 131_072, 131_073)
+ODD_LINES = ("", " ", "\t\r", "abc", "1 2", "1,5", "nan", "-inf", "inf", "0",
+             "-0.0", "-1", "1e-400", "1e400", " 2.5 ", "1_000", "0x10",
+             "\x1c7\x1c", "\u20073\u2007", "5e-324", "1.7976931348623157e308")
+
+
+class TestReadSampleOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.one_of(st.integers(0, 40), st.integers(65_000, 140_000)),
+           seed=st.integers(0, 2 ** 32 - 1),
+           odd=st.lists(st.tuples(st.one_of(st.sampled_from(CHUNK_EDGES),
+                                            st.integers(0, 140_000)),
+                                  st.sampled_from(ODD_LINES)), max_size=6),
+           ending=st.sampled_from(("\n", "\r\n")),
+           last_newline=st.booleans())
+    @example(n=131_073, seed=0, odd=[(65_536, "abc")], ending="\n",
+             last_newline=True)
+    @example(n=70_000, seed=1, odd=[(65_535, ""), (65_536, "-1")],
+             ending="\r\n", last_newline=False)
+    def test_matches_line_by_line(self, n, seed, odd, ending, last_newline):
+        lines = _sample_lines(n, seed)
+        for pos, text in odd:
+            lines.insert(pos % (len(lines) + 1), text)
+        lines = [t + ending for t in lines]
+        if lines and not last_newline:
+            lines[-1] = lines[-1].rstrip("\r\n")
+
+        def read(fh):
+            with mock.patch.object(sys, "stdin", fh):
+                return cli._read_sample("-")
+
+        got = _outcome(read, lines)
+        want = _outcome(read_sample_reference, lines)
+        if want[0] == "ok":
+            assert got[0] == "ok", got
+            assert got[1].dtype == np.float64
+            np.testing.assert_array_equal(got[1], want[1])
+        else:
+            assert got == want
 
 
 class TestSample:
@@ -119,6 +296,14 @@ class TestSample:
     def test_invalid_params_exit_2(self):
         res = run_cli("sample", "--alpha", "-3", "--beta", "2", "--n", "1")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537, 131_073])
+    def test_emission_matches_library(self, n):
+        res = run_cli("sample", "--alpha", "0.6", "--beta", "2", "--n", str(n),
+                      "--seed", "11")
+        assert res.returncode == 0
+        x = sample(InvGammaParams(0.6, 2.0), n, np.random.default_rng(11))
+        assert res.stdout == "".join(f"{v:.17g}\n" for v in x)
 
     def test_closure_roundtrip(self, tmp_path):
         """Samples piped back through the ML1 fitter recover the shape."""

@@ -2,6 +2,7 @@
 for the five fitters."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -460,6 +461,31 @@ class TestFixedPointStops:
         s = compute_stats([1.0101] * 20)
         with pytest.raises(DegenerateSampleError, match="too close to constant"):
             fit_ml2(s)
+
+
+class TestFloat64Limits:
+    """Samples whose statistics overflow float64 give a typed error, with no
+    numpy warning, and fail in ``fit_batch`` where the scalar fit raises."""
+
+    SAMPLES = ([1e308, 1.5e308, 1e307], [1e-320, 2e-320, 3e-320])
+
+    @pytest.mark.parametrize("x", SAMPLES)
+    def test_degenerate_without_warnings(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = compute_stats(x)
+            for name in ESTIMATORS:
+                with pytest.raises(DegenerateSampleError):
+                    fit_by_name(name, s, FitOptions())
+        fit = {name: fit_batch(name, StatsBatch.pack([s, s])).failed.tolist()
+               for name in ESTIMATORS}
+        assert fit == {name: [True, True] for name in ESTIMATORS}
+
+    def test_overflowing_moment_estimate(self):
+        s = compute_stats([1e308, 1.5e308, 1e307])
+        assert math.isinf(s.mean)
+        with pytest.raises(DegenerateSampleError, match="overflow float64"):
+            fit_mm(s)
 
 
 class TestMlAgreement:
