@@ -360,13 +360,17 @@ def cmd_curves(args) -> int:
         _err(str(exc))
         return 2
     rng = np.random.default_rng(args.seed)
-    if args.n == 0:
-        stats = SufficientStats.empty()
-    else:
-        stats = compute_stats(sample(truth, args.n, rng))
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
-    rows = emit_prior_posterior_curves(stats, DEFAULT_CURVE_VARIANTS,
-                                       scale_prior, grid, args.alpha)
+    try:
+        if args.n == 0:
+            stats = SufficientStats.empty()
+        else:
+            stats = compute_stats(sample(truth, args.n, rng))
+        rows = emit_prior_posterior_curves(stats, DEFAULT_CURVE_VARIANTS,
+                                           scale_prior, grid, args.alpha)
+    except (DegenerateSampleError, InsufficientDataError) as exc:
+        _err(str(exc))
+        return 4
     try:
         write_curves_csv(rows, args.out)
     except OSError as exc:

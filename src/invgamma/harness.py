@@ -8,13 +8,18 @@ identical configs produce identical files (runtime column excepted).
 
 Sweeps run batched: each estimator fits all simulations of a size in one
 ``fit_batch`` call, bit-identical to the scalar fitters, and ``runtime_s``
-is the batch's wall time divided by the number of simulations.  Single
-fits (``fit_by_name``, ``invgamma fit``) run the scalar ``fit_*``.
+is that call's wall time divided by the number of simulations.  Where the
+host has more than one CPU, the ``fit_batch`` calls run in forked worker
+processes while this process draws the next size and scores the last
+one; every element's fit is independent of its batch companions, so the
+records do not depend on the number of workers.  Single fits
+(``fit_by_name``, ``invgamma fit``) run the scalar ``fit_*``.
 """
 
 import math
 import os
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 
@@ -80,9 +85,14 @@ class ExperimentConfig:
         # Moment initialization needs a finite variance for every truth.
         if self.alpha_range[0] <= 2.0:
             raise ValueError("alpha_range low bound must be > 2")
+        if not self.estimators:
+            raise ValueError("estimators must not be empty")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(
+                f"duplicate estimators: {','.join(self.estimators)}")
 
 
 @dataclass(frozen=True)
@@ -170,28 +180,86 @@ def _fit_records(name: str, size: int, truths, fit: BatchFit,
     return records
 
 
+def _timed_fit(name: str, batch: StatsBatch, options: FitOptions):
+    """``fit_batch`` and its wall time; the task a fit worker runs."""
+    t0 = time.perf_counter()
+    fit = fit_batch(name, batch, options)
+    return fit, time.perf_counter() - t0
+
+
+def _fit_workers(cfg: ExperimentConfig) -> int:
+    """Fit processes for a sweep: one per usable CPU, at most one per
+    estimator."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, len(cfg.estimators))
+
+
+def _run_inline(fn, *args):
+    value = fn(*args)
+    return lambda: value
+
+
+def _size_records(size: int, truths, tasks) -> list[SimulationRecord]:
+    records = []
+    for name, result in tasks:
+        fit, seconds = result()
+        records.extend(_fit_records(name, size, truths, fit,
+                                    seconds / len(truths)))
+    return records
+
+
+def _sweep(cfg: ExperimentConfig, submit) -> list[SimulationRecord]:
+    """Draw each size and hand its fits to ``submit``, which returns a
+    callable that waits for the result.  A size's records are built after
+    the next size is drawn and submitted."""
+    records, pending = [], []
+    for size in cfg.sizes:
+        drawn = [_draw_stats(cfg, size, sim)
+                 for sim in range(cfg.sims_per_size)]
+        batch = StatsBatch.pack(stats for _, stats in drawn)
+        tasks = [(name, submit(_timed_fit, name, batch, cfg.fit))
+                 for name in cfg.estimators]
+        pending.append((size, [truth for truth, _ in drawn], tasks))
+        if len(pending) == 2:
+            records.extend(_size_records(*pending.pop(0)))
+    for item in pending:
+        records.extend(_size_records(*item))
+    records.sort(key=lambda r: (r.N, r.sim, _ESTIMATOR_INDEX[r.estimator]))
+    return records
+
+
 def run_kl_experiment(cfg: ExperimentConfig) -> list[SimulationRecord]:
     """All simulation records, sorted by (N, sim, estimator).
 
     Each sample is drawn and reduced on its own, so no sims x N matrix is
     held; each estimator then fits all sims of a size in one ``fit_batch``
-    call, and ``runtime_s`` is that call's wall time divided by the number
-    of sims.  Fits whose scalar version raises a domain error become
-    converged=False rows with NaN estimates; any other error propagates.
+    call.  With ``_fit_workers(cfg)`` > 1, the ``fork`` start method
+    available and no other thread running, those calls run in a pool of
+    forked workers while this process draws the next size and builds the
+    records (KL included) of the one before; otherwise they run here, in
+    the same order.  Sampling, statistics, KL and sorting stay in this
+    process either way.
+    ``runtime_s`` is the ``fit_batch`` wall time, measured inside the
+    process that ran it, divided by the number of sims.  Fits whose scalar
+    version raises a domain error become converged=False rows with NaN
+    estimates; any other error propagates with its type.
     """
-    records = []
-    for size in cfg.sizes:
-        drawn = [_draw_stats(cfg, size, sim)
-                 for sim in range(cfg.sims_per_size)]
-        truths = [truth for truth, _ in drawn]
-        batch = StatsBatch.pack(stats for _, stats in drawn)
-        for name in cfg.estimators:
-            t0 = time.perf_counter()
-            fit = fit_batch(name, batch, cfg.fit)
-            runtime = (time.perf_counter() - t0) / len(truths)
-            records.extend(_fit_records(name, size, truths, fit, runtime))
-    records.sort(key=lambda r: (r.N, r.sim, _ESTIMATOR_INDEX[r.estimator]))
-    return records
+    workers = _fit_workers(cfg)
+    # No "fork" start method, or a thread that a forked child could inherit
+    # a held lock from: fit here.
+    if (workers < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return _sweep(cfg, _run_inline)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+    try:
+        return _sweep(cfg, lambda fn, *args: pool.submit(fn, *args).result)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def aggregate_bias(records: list[SimulationRecord]) -> list[BiasAggregate]:

@@ -384,6 +384,18 @@ class TestBenchmark:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "6111472ce619b1a23875f0b96eb6b0d320ec35dc2d9cdf871b88f6f37a93cbb1")
 
+    @pytest.mark.parametrize("names, msg", [
+        (",", "estimators must not be empty"),
+        ("ML1,ML1", "duplicate estimators: ML1,ML1"),
+    ])
+    def test_bad_estimator_list_exits_2(self, tmp_path, names, msg):
+        out = tmp_path / "bench.csv"
+        res = run_cli("benchmark", "--sizes", "20", "--sims", "3",
+                      "--estimators", names, "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == f"invgamma: {msg}\n"
+        assert res.stdout == "" and not out.exists()
+
     def test_unwritable_output_exits_5(self, tmp_path):
         res = run_cli("benchmark", "--sizes", "40", "--sims", "2",
                       "--seed", "1", "--out", "/nonexistent-dir/x.csv")
@@ -427,6 +439,15 @@ class TestCurves:
             post = np.array([float(r[3]) for r in sub])
             peak = alphas[np.argmax(post)]
             assert abs(peak - 10.0) / 10.0 < 0.05
+
+    def test_one_value_exits_4(self, tmp_path):
+        out = tmp_path / "c.csv"
+        res = run_cli("curves", "--alpha", "10", "--beta", "25", "--n", "1",
+                      "--out", str(out))
+        assert res.returncode == 4
+        assert res.stderr == ("invgamma: moment initialization needs n >= 2, "
+                              "got n=1\n")
+        assert not out.exists()
 
     def test_bad_grid_exit_2(self, tmp_path):
         res = run_cli("curves", "--alpha", "10", "--beta", "25", "--n", "10",

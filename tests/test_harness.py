@@ -3,12 +3,17 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
 from invgamma import (
+    ConvergenceConfig,
     ExperimentConfig,
     FitOptions,
     PolyShapePrior,
@@ -22,7 +27,7 @@ from invgamma import (
     sample,
     wilcoxon_rank_sum,
 )
-from invgamma import estimators
+from invgamma import estimators, harness
 from invgamma.distribution import InvGammaParams
 from invgamma.harness import (
     BIAS_CSV_HEADER,
@@ -132,8 +137,11 @@ class TestRecords:
         monkeypatch.setattr(estimators, "_inv_digamma_array", broken)
         cfg = ExperimentConfig(sizes=(30,), sims_per_size=2,
                                estimators=("MM", "ML1"))
-        with pytest.raises(TypeError, match="broken kernel"):
-            run_kl_experiment(cfg)
+        # Inline, and raised in a forked fit worker.
+        for workers in (1, 2):
+            monkeypatch.setattr(harness, "_fit_workers", lambda cfg: workers)
+            with pytest.raises(TypeError, match="broken kernel"):
+                run_kl_experiment(cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -144,6 +152,91 @@ class TestRecords:
             ExperimentConfig(estimators=("MM", "XX"))
         with pytest.raises(ValueError):
             ExperimentConfig(beta_range=(3.0, 2.0))
+
+    @pytest.mark.parametrize("names, msg", [
+        ((), "estimators must not be empty"),
+        (("ML1", "ML1"), "duplicate estimators: ML1,ML1"),
+        (("MM", "BL1", "MM"), "duplicate estimators: MM,BL1,MM"),
+    ])
+    def test_estimator_list_validation(self, names, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            ExperimentConfig(estimators=names)
+
+
+def _records_without_runtime(records) -> str:
+    return "".join(line.rsplit(",", 1)[0] + "\n"
+                   for line in records_to_csv(records).splitlines())
+
+
+class TestFitWorkers:
+    """Fits run inline or in forked workers; the records must not tell."""
+
+    CONFIGS = {
+        "golden": ExperimentConfig(sizes=(20, 50), sims_per_size=20),
+        "failures": ExperimentConfig(
+            sizes=(1, 2, 30), sims_per_size=4, base_seed=1,
+            fit=FitOptions(poly_prior=PolyShapePrior(1.0, 1e12, 0.0))),
+        "capped": ExperimentConfig(
+            sizes=(20, 300), sims_per_size=30,
+            fit=FitOptions(conv=ConvergenceConfig(max_iter=7))),
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    def test_records_independent_of_worker_count(self, config, monkeypatch):
+        cfg = self.CONFIGS[config]
+        texts = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(harness, "_fit_workers", lambda cfg: workers)
+            records = run_kl_experiment(cfg)
+            assert all(math.isfinite(r.runtime_s) and r.runtime_s > 0.0
+                       for r in records)
+            texts.append(_records_without_runtime(records))
+        assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize("setting, in_parent", [
+        ("one worker", True), ("two workers", False),
+        ("no fork", True), ("another thread", True)])
+    def test_where_fits_run(self, setting, in_parent, monkeypatch):
+        cfg = self.CONFIGS["golden"]
+        want = _records_without_runtime(run_kl_experiment(cfg))
+        # A forked worker appends to its own copy of the list.
+        calls = []
+
+        def recording_fit_batch(*args):
+            calls.append(os.getpid())
+            return estimators.fit_batch(*args)
+
+        monkeypatch.setattr(harness, "fit_batch", recording_fit_batch)
+        workers = 1 if setting == "one worker" else 2
+        monkeypatch.setattr(harness, "_fit_workers", lambda cfg: workers)
+        if setting == "no fork":
+            monkeypatch.delattr(os, "fork")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if setting == "another thread":
+            thread.start()
+        try:
+            got = _records_without_runtime(run_kl_experiment(cfg))
+        finally:
+            stop.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert got == want
+        assert len(calls) == (2 * 5 if in_parent else 0)
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert harness._fit_workers(ExperimentConfig()) == 3
+        assert harness._fit_workers(ExperimentConfig(estimators=("ML1",))) == 1
+
+    def test_import_loads_no_pool_modules(self):
+        code = ("import sys, invgamma; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=os.environ.copy())
+        assert res.stdout == "[]\n"
 
 
 class TestCsv:
