@@ -83,8 +83,6 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         sizes = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}")
-    if not sizes:
-        raise argparse.ArgumentTypeError("empty size list")
     return sizes
 
 
@@ -132,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--agg-out", default=None,
                            help="optional aggregate CSV path")
         p.add_argument("--estimators", default=",".join(ESTIMATORS),
-                       help="comma list from MM,ML1,ML2,BL1,BL2")
+                       help=f"comma list from {','.join(ESTIMATORS)}")
         _add_conv_flags(p)
         _add_prior_flags(p)
 

@@ -10,21 +10,23 @@
 * BL2  -- conjugate prior w0 + w1*a + w2*log(a) for the surrogate
           likelihood; posterior update w~ = w + k, Laplace mean -w~2/w~1.
 
-Every estimator consumes a sample only through ``SufficientStats``.
-ML1, ML2, BL1 and BL2 each pass a one-step update of alpha to
-``_fixed_point``, which stops when the relative change of alpha drops to
-``rel_tol``; the scale estimate is computed once afterwards.
-
-``fit_batch`` runs one estimator over a ``StatsBatch`` of many samples as
-masked numpy arrays.  Its driver ``_iterate`` stops each element by the
-rules of ``_fixed_point``, and its update rules repeat the scalar steps
-operation for operation, so every element gets the bits the scalar
-``fit_*`` would give, and a domain error marks the element failed instead
-of raising.
+Every estimator consumes a sample only through ``SufficientStats``, and
+is one entry of the name table ``_ESTIMATORS``: its constants, a one-step
+update of alpha, its scale estimate and, for BL1 and BL2, its Laplace
+summary.  Each update is written once, as ``step(op, alpha, *constants)``
+over the kernels of ``_ops``, and run by two drivers that stop when the
+relative change of alpha drops to ``rel_tol``: ``_fixed_point`` on Python
+floats for ``fit_*``, and ``_iterate`` on masked float64 arrays for
+``fit_batch`` over a ``StatsBatch`` of many samples.  IEEE arithmetic
+gives the same bits on both, so each element of a batch gets the result
+of the scalar fit, and is marked failed where that fit raises.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,6 +112,8 @@ class ShapePriorABC:
 
     @classmethod
     def with_a(cls, a: float, b: float, c: float) -> "ShapePriorABC":
+        if not (math.isfinite(a) and a > 0.0):
+            raise ValueError(f"shape prior requires finite a > 0, got a={a!r}")
         return cls(math.log(a), b, c)
 
 
@@ -213,13 +217,6 @@ def _mm_alpha(stats: SufficientStats) -> float:
     return alpha
 
 
-def fit_mm(stats: SufficientStats) -> FitReport:
-    """Closed-form moment estimate; alpha_hat is always > 2."""
-    alpha = _mm_alpha(stats)
-    beta = stats.mean * (alpha - 1.0)
-    return FitReport(InvGammaParams(alpha, beta), 0, True, 0.0)
-
-
 def log_likelihood(stats: SufficientStats, p: InvGammaParams) -> float:
     """Sample log-likelihood evaluated from the sufficient statistics."""
     n = stats.n
@@ -244,13 +241,12 @@ def profile_log_likelihood(stats: SufficientStats, alpha: float) -> float:
                            - math.log(stats.sum_inv) - 1.0))
 
 
-def _surrogate_k(stats: SufficientStats, alpha: float) -> tuple[float, float]:
+def _surrogate_k(op, alpha, n, mean_log, log_sum_inv):
     # k1 and k2 of the k0 + k1*a + k2*log(a) surrogate at ``alpha``.
-    n = stats.n
-    tg = _trigamma(alpha)
-    k1 = n * (-stats.mean_log - _digamma(alpha) + math.log(n * alpha)
-              - math.log(stats.sum_inv) - alpha * tg + 1.0)
-    k2 = n * (alpha * alpha * tg - alpha)
+    psi, psi1 = op.psi_psi1(alpha)
+    k1 = n * (-mean_log - psi + op.log(n * alpha) - log_sum_inv
+              - alpha * psi1 + 1.0)
+    k2 = n * (alpha * alpha * psi1 - alpha)
     return k1, k2
 
 
@@ -259,15 +255,17 @@ def quad_approx_coeffs(stats: SufficientStats, alpha: float) -> QuadLogLikApprox
     k0 + k1*alpha + k2*log(alpha) at the expansion point."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    k1, k2 = _surrogate_k(stats, alpha)
+    k1, k2 = _surrogate_k(_ops(batched=False), alpha, stats.n, stats.mean_log,
+                          math.log(stats.sum_inv))
     k0 = profile_log_likelihood(stats, alpha) - k1 * alpha - k2 * math.log(alpha)
     return QuadLogLikApprox(k0, k1, k2, alpha)
 
 
-def _fixed_point(step, alpha: float, conv: ConvergenceConfig):
-    """The fixed-point loop: ``alpha <- step(alpha)`` until the relative
-    change drops to ``conv.rel_tol``, ``conv.max_iter`` steps have run, or a
-    step is NaN.  Returns (alpha, iterations, residual, converged).
+def _fixed_point(step, op, alpha: float, consts, conv: ConvergenceConfig):
+    """The scalar fixed-point loop: ``alpha <- step(op, alpha, *consts)``
+    until the relative change drops to ``conv.rel_tol``, ``conv.max_iter``
+    steps have run, or a step is NaN.  Returns (alpha, prev, iterations,
+    residual, converged), ``prev`` being the last step's input.
 
     NaN is absorbing for every update rule, so a NaN step ends the loop
     and the fit fails when its estimate is built.  A division by zero in a
@@ -276,61 +274,179 @@ def _fixed_point(step, alpha: float, conv: ConvergenceConfig):
     """
     for it in range(1, conv.max_iter + 1):
         try:
-            nxt = step(alpha)
+            nxt = step(op, alpha, *consts)
         except ZeroDivisionError:
             raise DegenerateSampleError(
                 f"update divides by zero at alpha={alpha:g}; "
                 "the sample is too close to constant") from None
         res = abs(nxt - alpha) / alpha
-        alpha = nxt
+        prev, alpha = alpha, nxt
         if res <= conv.rel_tol:
-            return alpha, it, res, True
+            return alpha, prev, it, res, True
         if math.isnan(nxt):
             break
-    return alpha, it, res, False
+    return alpha, prev, it, res, False
 
 
-def _guarded(alpha, nxt):
+def _guarded(op, alpha, nxt):
     # Updates below zero (or non-finite) fall back to the geometric mean
     # of the previous iterate and the update floored at 1e-8.
-    if math.isfinite(nxt) and nxt > 0.0:
-        return nxt
-    floor = nxt if (math.isfinite(nxt) and nxt > 1e-8) else 1e-8
-    return math.sqrt(alpha * floor)
+    finite = op.isfinite(nxt)
+    floor = op.where(finite & (nxt > 1e-8), nxt, 1e-8)
+    return op.where(finite & (nxt > 0.0), nxt, op.sqrt(alpha * floor))
+
+
+def _ops(batched: bool) -> SimpleNamespace:
+    """The kernels a step calls, on floats or elementwise on float64 arrays
+    with the same bits.  Built per fit, so patched kernels are seen."""
+    if batched:
+        return SimpleNamespace(
+            log=_clog, psi_psi1=_psi_psi1_array,
+            inv_digamma=_inv_digamma_array, isfinite=np.isfinite,
+            sqrt=np.sqrt, where=np.where)
+    return SimpleNamespace(
+        log=math.log, psi_psi1=lambda x: (_digamma(x), _trigamma(x)),
+        inv_digamma=_inv_digamma, isfinite=math.isfinite, sqrt=math.sqrt,
+        where=lambda cond, a, b: a if cond else b)
+
+
+# The parts of each estimator, over ``SufficientStats`` or ``StatsBatch``
+# (they share field names) and the kernels of ``_ops``.
+
+def _mm_beta(s, o, alpha):
+    return s.mean * (alpha - 1.0)
+
+
+def _ml_beta(s, o, alpha):
+    return s.n * alpha / s.sum_inv
+
+
+def _posterior_mean_beta(s, o, alpha):
+    return (o.scale_prior.d + s.n * alpha) / (o.scale_prior.e + s.sum_inv)
+
+
+def _ml_constants(op, s, o):
+    return s.n, -op.log(s.sum_inv) - s.mean_log
+
+
+def _ml1_step(op, alpha, n, c_const):
+    return op.inv_digamma(op.log(n * alpha) + c_const)
+
+
+def _ml2_step(op, alpha, n, c_const):
+    psi, psi1 = op.psi_psi1(alpha)
+    num = c_const - psi + op.log(n * alpha)
+    den = alpha * alpha * (1.0 / alpha - psi1)
+    inv = 1.0 / alpha + num / den
+    # NaN where the update divides by zero.  The scalar step has raised
+    # ZeroDivisionError there, so its ``where`` sees only False; so in BL2.
+    return op.where((den == 0.0) | (inv == 0.0), math.nan,
+                    _guarded(op, alpha, 1.0 / inv))
+
+
+def _bl1_constants(op, s, o):
+    sp, scp = o.shape_prior, o.scale_prior
+    return (s.n, sp.log_a + s.sum_log, sp.b + s.n, sp.c + s.n, scp.d,
+            op.log(scp.e + s.sum_inv))
+
+
+def _bl1_step(op, alpha, n, log_a_hat, b_hat, c_hat, d, log_e_hat):
+    return op.inv_digamma(
+        (-log_a_hat + c_hat * (op.log(d + n * alpha) - log_e_hat)) / b_hat)
+
+
+def _bl1_posterior(op, alpha, prev, n, log_a_hat, b_hat, *rest):
+    return alpha, b_hat * op.psi_psi1(alpha)[1], False
+
+
+def _bl2_constants(op, s, o):
+    return (s.n, s.mean_log, op.log(s.sum_inv), o.poly_prior.w1,
+            o.poly_prior.w2)
+
+
+def _bl2_step(op, alpha, n, mean_log, log_sum_inv, w1, w2):
+    k1, k2 = _surrogate_k(op, alpha, n, mean_log, log_sum_inv)
+    w1t, w2t = w1 + k1, w2 + k2
+    return op.where(w1t == 0.0, math.nan, _guarded(op, alpha, -w2t / w1t))
+
+
+def _bl2_posterior(op, alpha, prev, n, mean_log, log_sum_inv, w1, w2):
+    # From the posterior weights w~ = w + k of the last step, from ``prev``.
+    k1, k2 = _surrogate_k(op, prev, n, mean_log, log_sum_inv)
+    w1t, w2t = w1 + k1, w2 + k2
+    return -w2t / w1t, w2t / (alpha * alpha), (w1t >= 0.0) | (w2t <= 0.0)
+
+
+class _Estimator(NamedTuple):
+    takes: tuple[str, ...]  # the FitOptions fields its fit_* takes, in order
+    beta: Callable  # (stats, options, alpha) -> scale estimate
+    constants: Callable | None = None  # (op, stats, options) -> constants
+    step: Callable | None = None  # (op, alpha, *constants) -> next alpha
+    # (op, alpha, prev, *constants) -> Laplace mean, precision, and whether
+    # the posterior has no interior maximum (a failure once converged).
+    posterior: Callable | None = None
+
+
+_ESTIMATORS = {
+    "MM": _Estimator((), _mm_beta),
+    "ML1": _Estimator(("conv",), _ml_beta, _ml_constants, _ml1_step),
+    "ML2": _Estimator(("conv",), _ml_beta, _ml_constants, _ml2_step),
+    "BL1": _Estimator(("shape_prior", "scale_prior", "conv"),
+                      _posterior_mean_beta, _bl1_constants, _bl1_step,
+                      posterior=_bl1_posterior),
+    "BL2": _Estimator(("poly_prior", "scale_prior", "conv"),
+                      _posterior_mean_beta, _bl2_constants, _bl2_step,
+                      _bl2_posterior),
+}
+ESTIMATORS = tuple(_ESTIMATORS)
+
+
+def _spec(name: str) -> _Estimator:
+    try:
+        return _ESTIMATORS[name]
+    except KeyError:
+        raise ValueError(f"unknown estimator {name!r}") from None
+
+
+def _fit(name: str, stats: SufficientStats,
+         options: FitOptions = FitOptions()) -> FitReport:
+    """The scalar driver: the estimator ``name`` on one sample's stats."""
+    est = _ESTIMATORS[name]
+    alpha = _mm_alpha(stats)
+    it, res, conv, posterior = 0, 0.0, True, None
+    if est.step is not None:
+        op = _ops(batched=False)
+        consts = est.constants(op, stats, options)
+        alpha, prev, it, res, conv = _fixed_point(est.step, op, alpha, consts,
+                                                  options.conv)
+        if est.posterior is not None:
+            mean, precision, invalid = est.posterior(op, alpha, prev, *consts)
+            if conv and invalid:
+                raise InvalidPosteriorError(
+                    "posterior has no interior maximum (Laplace mean "
+                    f"{mean!r}, precision {precision!r})")
+            posterior = LaplaceSummary(mean, precision)
+    beta = est.beta(stats, options, alpha)
+    return FitReport(InvGammaParams(alpha, beta), it, conv, res, posterior)
+
+
+def fit_mm(stats: SufficientStats) -> FitReport:
+    """Closed-form moment estimate; alpha_hat is always > 2."""
+    return _fit("MM", stats)
 
 
 def fit_ml1(stats: SufficientStats,
             cfg: ConvergenceConfig = ConvergenceConfig()) -> FitReport:
     """Tangent-bound fixed point; each step cannot decrease the profile
     log-likelihood."""
-    alpha0 = _mm_alpha(stats)
-    n = stats.n
-    c_const = -math.log(stats.sum_inv) - stats.mean_log
-
-    def step(alpha):
-        return _inv_digamma(math.log(n * alpha) + c_const)
-
-    alpha, it, res, conv = _fixed_point(step, alpha0, cfg)
-    beta = n * alpha / stats.sum_inv
-    return FitReport(InvGammaParams(alpha, beta), it, conv, res)
+    return _fit("ML1", stats, FitOptions(conv=cfg))
 
 
 def fit_ml2(stats: SufficientStats,
             cfg: ConvergenceConfig = ConvergenceConfig()) -> FitReport:
     """Surrogate-based update on 1/alpha; same fixed point as ML1 but
     typically converges in a few iterations."""
-    alpha0 = _mm_alpha(stats)
-    n = stats.n
-    c_const = -math.log(stats.sum_inv) - stats.mean_log
-
-    def step(alpha):
-        num = c_const - _digamma(alpha) + math.log(n * alpha)
-        den = alpha * alpha * (1.0 / alpha - _trigamma(alpha))
-        return _guarded(alpha, 1.0 / (1.0 / alpha + num / den))
-
-    alpha, it, res, conv = _fixed_point(step, alpha0, cfg)
-    beta = n * alpha / stats.sum_inv
-    return FitReport(InvGammaParams(alpha, beta), it, conv, res)
+    return _fit("ML2", stats, FitOptions(conv=cfg))
 
 
 def scale_posterior(stats: SufficientStats, prior: ScaleGammaPrior,
@@ -355,23 +471,7 @@ def fit_bl1(stats: SufficientStats,
     hyperparameters; the Laplace summary has mean alpha_hat and precision
     b_hat * trigamma(alpha_hat).
     """
-    alpha0 = _mm_alpha(stats)
-    n = stats.n
-    log_a_hat = shape_prior.log_a + stats.sum_log
-    b_hat = shape_prior.b + n
-    c_hat = shape_prior.c + n
-    d = scale_prior.d
-    e_hat = scale_prior.e + stats.sum_inv
-    log_e_hat = math.log(e_hat)
-
-    def step(alpha):
-        return _inv_digamma(
-            (-log_a_hat + c_hat * (math.log(d + n * alpha) - log_e_hat)) / b_hat)
-
-    alpha, it, res, conv = _fixed_point(step, alpha0, cfg)
-    beta = (d + n * alpha) / e_hat
-    posterior = LaplaceSummary(alpha, b_hat * _trigamma(alpha))
-    return FitReport(InvGammaParams(alpha, beta), it, conv, res, posterior)
+    return _fit("BL1", stats, FitOptions(shape_prior, scale_prior, conv=cfg))
 
 
 def fit_bl2(stats: SufficientStats,
@@ -382,27 +482,13 @@ def fit_bl2(stats: SufficientStats,
 
     With the flat prior (w1 = w2 = 0) the update is ML2's algebraically,
     but it rounds differently: -k2/k1 and ML2's 1/(1/alpha + num/den)
-    drift apart once alpha is about 1e16 or more.  On near-constant samples ML2 then raises
-    ``DegenerateSampleError`` while BL2 runs to ``max_iter`` unconverged
-    (``converged`` is False; ``invgamma fit --strict`` exits 4).
+    drift apart once alpha is about 1e16 or more.  On near-constant
+    samples ML2 then raises ``DegenerateSampleError`` while BL2 runs to
+    ``max_iter`` unconverged (``converged`` is False; ``invgamma fit
+    --strict`` exits 4).
     """
-    alpha0 = _mm_alpha(stats)
-    w1t, w2t = poly_prior.w1, poly_prior.w2
-
-    def step(alpha):
-        nonlocal w1t, w2t
-        k1, k2 = _surrogate_k(stats, alpha)
-        w1t = poly_prior.w1 + k1
-        w2t = poly_prior.w2 + k2
-        return _guarded(alpha, -w2t / w1t)
-
-    alpha, it, res, conv = _fixed_point(step, alpha0, cfg)
-    if conv and (w1t >= 0.0 or w2t <= 0.0):
-        raise InvalidPosteriorError(
-            f"posterior weights w1~={w1t}, w2~={w2t} admit no interior maximum")
-    beta = (scale_prior.d + stats.n * alpha) / (scale_prior.e + stats.sum_inv)
-    posterior = LaplaceSummary(-w2t / w1t, w2t / (alpha * alpha))
-    return FitReport(InvGammaParams(alpha, beta), it, conv, res, posterior)
+    return _fit("BL2", stats, FitOptions(scale_prior=scale_prior,
+                                         poly_prior=poly_prior, conv=cfg))
 
 
 def bl1_log_posterior_curve(stats: SufficientStats,
@@ -420,12 +506,10 @@ def bl1_log_posterior_curve(stats: SufficientStats,
     grid = np.asarray(alphas, dtype=np.float64)
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
         raise ValueError("alpha grid must be finite and > 0")
-    n = stats.n
-    log_a_hat = shape_prior.log_a + stats.sum_log
-    b_hat = shape_prior.b + n
-    c_hat = shape_prior.c + n
+    _, log_a_hat, b_hat, c_hat, _, _ = _bl1_constants(
+        _ops(batched=False), stats, FitOptions(shape_prior, scale_prior))
     if beta_hat is None:
-        if n == 0:
+        if stats.n == 0:
             beta_hat = scale_prior.d / scale_prior.e
         else:
             beta_hat = fit_bl1(stats, shape_prior, scale_prior).params.beta
@@ -479,16 +563,15 @@ class BatchFit:
     failed: np.ndarray
 
 
-def _iterate(update, alpha0, conv: ConvergenceConfig):
-    """The batched fixed-point loop: ``alpha <- update(idx, alpha)`` for
-    the elements at positions ``idx`` that are still iterating, each
-    stopping by the rule of ``_fixed_point``.  Returns (alpha, iterations,
-    residual, converged).
-
-    An element whose update is NaN stops there and its fit fails: the
-    rules return NaN where the scalar step raises, and map NaN to NaN.
+def _iterate(step, op, alpha0, consts, conv: ConvergenceConfig):
+    """The batched fixed-point loop: ``alpha <- step(op, alpha, *consts)``
+    for each element still iterating, with its own entries of the array
+    constants, stopping by the rule of ``_fixed_point`` and returning the
+    same tuple, per element.  A step is NaN where the scalar step raises,
+    and maps NaN to NaN, so that element stops there and its fit fails.
     """
     alpha = alpha0.copy()
+    prev = alpha0.copy()
     iterations = np.zeros(alpha.size, dtype=np.int64)
     residual = np.full(alpha.size, math.inf)
     converged = np.zeros(alpha.size, dtype=bool)
@@ -497,108 +580,23 @@ def _iterate(update, alpha0, conv: ConvergenceConfig):
         if not live.size:
             break
         a = alpha[live]
-        nxt = update(live, a)
+        nxt = step(op, a, *(c[live] if isinstance(c, np.ndarray) else c
+                            for c in consts))
         res = np.abs(nxt - a) / a
+        prev[live] = a
         alpha[live] = nxt
         residual[live] = res
         iterations[live] = it
         done = res <= conv.rel_tol
         converged[live[done]] = True
         live = live[~(done | np.isnan(nxt))]
-    return alpha, iterations, residual, converged
-
-
-def _guarded_array(alpha, nxt):
-    finite = np.isfinite(nxt)
-    floor = np.where(finite & (nxt > 1e-8), nxt, 1e-8)
-    return np.where(finite & (nxt > 0.0), nxt, np.sqrt(alpha * floor))
-
-
-def _raises_where(zero_div, nxt):
-    # The scalar step divides by zero where ``zero_div`` holds, as it does
-    # for near-constant samples (alpha0 above about 1e16), and the scalar
-    # fit raises DegenerateSampleError; NaN ends the element's iteration and
-    # fails its fit.
-    return np.where(zero_div, math.nan, nxt)
-
-
-def _ml1_rule(n, c_const):
-    def update(i, alpha):
-        return _inv_digamma_array(_clog(n[i] * alpha) + c_const[i])
-    return update
-
-
-def _ml2_rule(n, c_const):
-    def update(i, alpha):
-        psi, psi1 = _psi_psi1_array(alpha)
-        num = c_const[i] - psi + _clog(n[i] * alpha)
-        den = alpha * alpha * (1.0 / alpha - psi1)
-        inv = 1.0 / alpha + num / den
-        nxt = _guarded_array(alpha, 1.0 / inv)
-        return _raises_where((den == 0.0) | (inv == 0.0), nxt)
-    return update
-
-
-def _bl1_rule(n, log_a_hat, b_hat, c_hat, d, log_e_hat):
-    def update(i, alpha):
-        arg = (-log_a_hat[i] + c_hat[i] * (_clog(d + n[i] * alpha)
-                                           - log_e_hat[i])) / b_hat[i]
-        return _inv_digamma_array(arg)
-    return update
-
-
-def _bl2_rule(n, mean_log, log_sum_inv, w1, w2, w1t, w2t):
-    # Leaves each element's last posterior weights in w1t and w2t.
-    def update(i, alpha):
-        psi, tg = _psi_psi1_array(alpha)
-        ni = n[i]
-        k2 = ni * (alpha * alpha * tg - alpha)
-        k1 = ni * (-mean_log[i] - psi + _clog(ni * alpha)
-                   - log_sum_inv[i] - alpha * tg + 1.0)
-        w1t[i] = w1_i = w1 + k1
-        w2t[i] = w2_i = w2 + k2
-        nxt = _guarded_array(alpha, -w2_i / w1_i)
-        return _raises_where(w1_i == 0.0, nxt)
-    return update
-
-
-def _fit_valid(name: str, b: StatsBatch, options: FitOptions):
-    """``fit_batch`` on elements with n >= 2 and var > 0.  Returns (alpha,
-    beta, iterations, residual, converged); alpha is NaN where the BL2
-    posterior has no interior maximum."""
-    alpha0 = b.mean * b.mean / b.var + 2.0
-    if name == "MM":
-        return (alpha0, b.mean * (alpha0 - 1.0), np.zeros(len(b), np.int64),
-                np.zeros(len(b)), np.ones(len(b), dtype=bool))
-    conv = options.conv
-    sp, scp = options.shape_prior, options.scale_prior
-    if name in ("ML1", "ML2"):
-        c_const = -_clog(b.sum_inv) - b.mean_log
-        rule = (_ml1_rule if name == "ML1" else _ml2_rule)(b.n, c_const)
-        alpha, it, res, ok = _iterate(rule, alpha0, conv)
-        return alpha, b.n * alpha / b.sum_inv, it, res, ok
-    e_hat = scp.e + b.sum_inv
-    if name == "BL1":
-        rule = _bl1_rule(b.n, sp.log_a + b.sum_log, sp.b + b.n, sp.c + b.n,
-                         scp.d, _clog(e_hat))
-        alpha, it, res, ok = _iterate(rule, alpha0, conv)
-        return alpha, (scp.d + b.n * alpha) / e_hat, it, res, ok
-    if name == "BL2":
-        pp = options.poly_prior
-        w1t = np.full(len(b), pp.w1)
-        w2t = np.full(len(b), pp.w2)
-        rule = _bl2_rule(b.n, b.mean_log, _clog(b.sum_inv), pp.w1, pp.w2,
-                         w1t, w2t)
-        alpha, it, res, ok = _iterate(rule, alpha0, conv)
-        alpha[ok & ((w1t >= 0.0) | (w2t <= 0.0))] = math.nan
-        return alpha, (scp.d + b.n * alpha) / e_hat, it, res, ok
-    raise ValueError(f"unknown estimator {name!r}")
+    return alpha, prev, iterations, residual, converged
 
 
 def fit_batch(name: str, batch: StatsBatch,
               options: FitOptions = FitOptions()) -> BatchFit:
-    """Run the estimator ``name`` (MM, ML1, ML2, BL1 or BL2) on every
-    element of ``batch``.
+    """Run the estimator ``name`` (one of ``ESTIMATORS``) on every element
+    of ``batch``.
 
     Each element gets the alpha, beta, iterations, convergence flag and
     residual of the scalar ``fit_*`` on its stats, bit for bit.  Where the
@@ -607,22 +605,30 @@ def fit_batch(name: str, batch: StatsBatch,
     interior maximum, or a non-finite or non-positive estimate) the element
     is marked failed instead.
     """
-    size = len(batch)
-    alpha = np.full(size, math.nan)
-    beta = np.full(size, math.nan)
-    iterations = np.zeros(size, dtype=np.int64)
-    residual = np.full(size, math.nan)
-    converged = np.zeros(size, dtype=bool)
+    est = _spec(name)
     valid = np.flatnonzero((batch.n >= 2.0) & (batch.var > 0.0))
+    b = batch.take(valid)
     # Python floats overflow to inf and turn inf - inf into NaN silently,
-    # so these arrays do too; division by zero is handled by the rules.
+    # so these arrays do too; the steps handle division by zero.
     with np.errstate(all="ignore"):
-        a, b, it, res, ok = _fit_valid(name, batch.take(valid), options)
-    good = np.isfinite(a) & (a > 0.0) & np.isfinite(b) & (b > 0.0)
-    keep = valid[good]
-    alpha[keep], beta[keep] = a[good], b[good]
-    iterations[keep], residual[keep] = it[good], res[good]
-    converged[keep] = ok[good]
-    failed = np.ones(size, dtype=bool)
-    failed[keep] = False
-    return BatchFit(alpha, beta, iterations, converged, residual, failed)
+        a = b.mean * b.mean / b.var + 2.0
+        it, res = np.zeros(len(b), np.int64), np.zeros(len(b))
+        ok = np.ones(len(b), dtype=bool)
+        if est.step is not None:
+            op = _ops(batched=True)
+            consts = est.constants(op, b, options)
+            a, prev, it, res, ok = _iterate(est.step, op, a, consts,
+                                            options.conv)
+            if est.posterior is not None:
+                a[ok & est.posterior(op, a, prev, *consts)[2]] = math.nan
+        bt = est.beta(b, options, a)
+    good = np.isfinite(a) & (a > 0.0) & np.isfinite(bt) & (bt > 0.0)
+
+    def scatter(values, fill):
+        out = np.full(len(batch), fill, dtype=values.dtype)
+        out[valid[good]] = values[good]
+        return out
+
+    return BatchFit(scatter(a, math.nan), scatter(bt, math.nan),
+                    scatter(it, 0), scatter(ok, False),
+                    scatter(res, math.nan), ~scatter(good, False))

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import InvGammaParams, kl_divergence, sample
-from .estimators import (
+from .estimators import (  # fit_mm .. fit_bl2: see fit_by_name
+    ESTIMATORS,
     BatchFit,
     FitOptions,
     FitReport,
@@ -42,11 +43,11 @@ from .estimators import (
     fit_ml1,
     fit_ml2,
     fit_mm,
+    _spec,
     scale_posterior,
 )
 from .specfun import inv_digamma
 
-ESTIMATORS = ("MM", "ML1", "ML2", "BL1", "BL2")
 _ESTIMATOR_INDEX = {name: i for i, name in enumerate(ESTIMATORS)}
 
 RECORDS_CSV_HEADER = ("N,sim,estimator,alpha_true,beta_true,alpha_hat,beta_hat,"
@@ -76,6 +77,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sims_per_size < 1:
             raise ValueError("sims_per_size must be >= 1")
+        for name in ("sizes", "estimators"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):
+                raise ValueError(
+                    f"duplicate {name}: {','.join(map(str, values))}")
         if not all(n >= 1 for n in self.sizes):
             raise ValueError("sizes must be >= 1")
         for name, (lo, hi) in (("alpha_range", self.alpha_range),
@@ -85,14 +93,9 @@ class ExperimentConfig:
         # Moment initialization needs a finite variance for every truth.
         if self.alpha_range[0] <= 2.0:
             raise ValueError("alpha_range low bound must be > 2")
-        if not self.estimators:
-            raise ValueError("estimators must not be empty")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        if len(set(self.estimators)) < len(self.estimators):
-            raise ValueError(
-                f"duplicate estimators: {','.join(self.estimators)}")
 
 
 @dataclass(frozen=True)
@@ -132,24 +135,15 @@ def child_rng(base_seed: int, size: int, sim: int) -> np.random.Generator:
 
 def fit_by_name(name: str, stats: SufficientStats,
                 options: FitOptions = FitOptions()) -> FitReport:
-    """Run the estimator called ``name`` (one of ``ESTIMATORS``).
+    """Run the estimator called ``name`` (one of ``ESTIMATORS``): its
+    ``fit_*`` with the fields of ``options`` that it takes.
 
     The fitters are looked up in this module's globals on every call, so
     code that wraps ``harness.fit_ml1`` and friends sees every fit.
     """
-    if name == "MM":
-        return fit_mm(stats)
-    if name == "ML1":
-        return fit_ml1(stats, options.conv)
-    if name == "ML2":
-        return fit_ml2(stats, options.conv)
-    if name == "BL1":
-        return fit_bl1(stats, options.shape_prior, options.scale_prior,
-                       options.conv)
-    if name == "BL2":
-        return fit_bl2(stats, options.poly_prior, options.scale_prior,
-                       options.conv)
-    raise ValueError(f"unknown estimator {name!r}")
+    fields = _spec(name).takes
+    return globals()[f"fit_{name.lower()}"](
+        stats, *(getattr(options, field) for field in fields))
 
 
 def _draw_stats(cfg: ExperimentConfig, size: int, sim: int):

@@ -132,6 +132,13 @@ class TestFit:
                       stdin="0.5\n1.2\n0.8\n2.0\n1.1\n")
         assert res.returncode == 4
 
+    def test_nonpositive_prior_a_exits_2(self):
+        res = run_cli("fit", "--estimator", "bl1", "--prior-a", "0",
+                      stdin="1\n2\n4\n")
+        assert res.returncode == 2
+        assert res.stderr == (
+            "invgamma: shape prior requires finite a > 0, got a=0.0\n")
+
     def test_unknown_flag_exits_2(self):
         res = run_cli("fit", "--estimator", "mm", "--nope", stdin="1\n2\n")
         assert res.returncode == 2
@@ -392,6 +399,18 @@ class TestBenchmark:
         out = tmp_path / "bench.csv"
         res = run_cli("benchmark", "--sizes", "20", "--sims", "3",
                       "--estimators", names, "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == f"invgamma: {msg}\n"
+        assert res.stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("sizes, msg", [
+        (",", "sizes must not be empty"),
+        ("20,20", "duplicate sizes: 20,20"),
+    ])
+    def test_bad_size_list_exits_2(self, tmp_path, sizes, msg):
+        out = tmp_path / "bench.csv"
+        res = run_cli("benchmark", "--sizes", sizes, "--sims", "3",
+                      "--estimators", "MM", "--out", str(out))
         assert res.returncode == 2
         assert res.stderr == f"invgamma: {msg}\n"
         assert res.stdout == "" and not out.exists()

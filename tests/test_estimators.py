@@ -1,6 +1,7 @@
 """Hand-checked values, update-rule identities and agreement properties
 for the five fitters."""
 
+import hashlib
 import math
 import warnings
 
@@ -401,6 +402,41 @@ class TestBl2:
         # a huge positive linear weight removes the interior maximum
         with pytest.raises(InvalidPosteriorError):
             fit_bl2(demo_stats, PolyShapePrior(1.0, 1e12, 0.0))
+
+
+class TestScalarGolden:
+    """Every field of the scalar fit reports, posterior summaries included,
+    and the surrogate coefficients, pinned on the demonstration sample."""
+
+    OPTIONS = (
+        FitOptions(),
+        FitOptions(shape_prior=ShapePriorABC.with_a(2.0, 0.5, 0.5),
+                   scale_prior=ScaleGammaPrior(2.0, 0.5),
+                   poly_prior=PolyShapePrior(0.0, -1.0, 3.0)),
+    )
+
+    def test_reports_digest(self, demo_stats):
+        lines = []
+        for o in self.OPTIONS:
+            reports = (
+                fit_mm(demo_stats),
+                fit_ml1(demo_stats, o.conv),
+                fit_ml2(demo_stats, o.conv),
+                fit_bl1(demo_stats, o.shape_prior, o.scale_prior, o.conv),
+                fit_bl2(demo_stats, o.poly_prior, o.scale_prior, o.conv),
+            )
+            for name, r in zip(ESTIMATORS, reports):
+                post = r.posterior
+                lines.append(repr((
+                    name, r.params.alpha, r.params.beta, r.iterations,
+                    r.converged, r.residual,
+                    None if post is None else (post.mean, post.precision))))
+        q = quad_approx_coeffs(demo_stats, 7.0)
+        lines.append(repr((q.k0, q.k1, q.k2, q.expansion_point)))
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "cdd93b4a2b7825e1f2d621ca2cd0445ad5a53e6b0bf2d9315aba07b8c86631e3"
+        ), text
 
 
 class TestScaleEquivariance:

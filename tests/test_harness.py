@@ -1,5 +1,6 @@
 """Experiment runner determinism, CSV contracts, rank-sum test and curves."""
 
+import argparse
 import hashlib
 import itertools
 import math
@@ -13,21 +14,24 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 from invgamma import (
+    ESTIMATORS,
     ConvergenceConfig,
     ExperimentConfig,
     FitOptions,
     PolyShapePrior,
     ScaleGammaPrior,
     ShapePriorABC,
+    StatsBatch,
     SufficientStats,
     compute_stats,
     emit_prior_posterior_curves,
+    fit_batch,
     run_bias_experiment,
     run_kl_experiment,
     sample,
     wilcoxon_rank_sum,
 )
-from invgamma import estimators, harness
+from invgamma import cli, estimators, harness
 from invgamma.distribution import InvGammaParams
 from invgamma.harness import (
     BIAS_CSV_HEADER,
@@ -161,6 +165,75 @@ class TestRecords:
     def test_estimator_list_validation(self, names, msg):
         with pytest.raises(ValueError, match=f"^{msg}$"):
             ExperimentConfig(estimators=names)
+
+    @pytest.mark.parametrize("sizes, msg", [
+        ((), "sizes must not be empty"),
+        ((20, 20), "duplicate sizes: 20,20"),
+        ((20, 50, 20), "duplicate sizes: 20,50,20"),
+    ])
+    def test_size_list_validation(self, sizes, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            ExperimentConfig(sizes=sizes)
+
+
+class TestEstimatorTable:
+    """One name table serves the fitters, the batch path and the CLI, and
+    fits still go through the ``harness.fit_*`` names that tracers wrap."""
+
+    OPTIONS = FitOptions(shape_prior=ShapePriorABC.with_a(2.0, 0.5, 0.5),
+                         scale_prior=ScaleGammaPrior(2.0, 0.5),
+                         poly_prior=PolyShapePrior(0.0, -1.0, 3.0),
+                         conv=ConvergenceConfig(max_iter=50))
+
+    @staticmethod
+    def _record(monkeypatch, calls):
+        for name in ("fit_ml1", "fit_bl2"):
+            fit = getattr(harness, name)
+
+            def recorder(*args, _fit=fit, _name=name):
+                calls.append((_name, args[1:]))
+                return _fit(*args)
+
+            monkeypatch.setattr(harness, name, recorder)
+
+    def test_fit_by_name_looks_up_fitters_at_call_time(self, monkeypatch):
+        calls = []
+        self._record(monkeypatch, calls)
+        stats = compute_stats([1.0, 2.0, 4.0, 3.0, 2.5])
+        o = self.OPTIONS
+        for name in ESTIMATORS:
+            harness.fit_by_name(name, stats, o)
+        assert calls == [
+            ("fit_ml1", (o.conv,)),
+            ("fit_bl2", (o.poly_prior, o.scale_prior, o.conv)),
+        ]
+
+    def test_cli_fit_reaches_patched_fitter(self, monkeypatch, tmp_path,
+                                            capsys):
+        calls = []
+        self._record(monkeypatch, calls)
+        path = tmp_path / "x.txt"
+        path.write_text("1\n2\n4\n3\n2.5\n")
+        for name in ("ml1", "bl2", "mm"):
+            assert cli.main(["fit", "--estimator", name, "--input",
+                             str(path), "--max-iter", "50"]) == 0
+        assert [c[0] for c in calls] == ["fit_ml1", "fit_bl2"]
+        assert "estimator=bl2" in capsys.readouterr().out
+
+    def test_cli_choices_are_the_table(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        est = next(a for a in sub.choices["fit"]._actions
+                   if a.dest == "estimator")
+        assert list(est.choices) == [e.lower() for e in ESTIMATORS]
+        assert ESTIMATORS == estimators.ESTIMATORS == harness.ESTIMATORS
+
+    def test_unknown_name(self):
+        stats = compute_stats([1.0, 2.0, 4.0])
+        with pytest.raises(ValueError, match="unknown estimator 'XX'"):
+            harness.fit_by_name("XX", stats)
+        with pytest.raises(ValueError, match="unknown estimator 'XX'"):
+            fit_batch("XX", StatsBatch.pack([stats]))
 
 
 def _records_without_runtime(records) -> str:
