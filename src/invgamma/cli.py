@@ -2,13 +2,14 @@
 
 Subcommands: fit, sample, kl, benchmark, bias, curves.  Exit codes:
 0 success, 2 malformed input or bad parameters, 3 non-positive sample
-value, 4 estimator failure, 5 output I/O failure.
+value, 4 estimator failure, 5 output I/O failure or a closed stdout.
 """
 
 import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -395,10 +396,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         _err(str(exc))
         return 2
+    except BrokenPipeError:  # the reader left; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _err("stdout closed before all output was written")
+        return 5
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _clog, _digamma
+from .specfun import _clog, digamma
 
 
 class UndefinedMomentError(ValueError):
@@ -128,7 +128,7 @@ def sample(p: InvGammaParams, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def expect_log_x(p: InvGammaParams) -> float:
     """E[log x] = log(beta) - digamma(alpha)."""
-    return math.log(p.beta) - _digamma(p.alpha)
+    return math.log(p.beta) - digamma(p.alpha)
 
 
 def expect_inv_x(p: InvGammaParams) -> float:
@@ -138,7 +138,7 @@ def expect_inv_x(p: InvGammaParams) -> float:
 
 def expect_log_pdf(p: InvGammaParams) -> float:
     """E[log p(x)] = (1+alpha) digamma(alpha) - alpha - log(beta Gamma(alpha))."""
-    return ((1.0 + p.alpha) * _digamma(p.alpha) - p.alpha
+    return ((1.0 + p.alpha) * digamma(p.alpha) - p.alpha
             - math.log(p.beta) - math.lgamma(p.alpha))
 
 
@@ -151,7 +151,7 @@ def kl_divergence(p: InvGammaParams, q: InvGammaParams) -> float:
     """
     a, b = p.alpha, p.beta
     ah, bh = q.alpha, q.beta
-    val = ((a - ah) * _digamma(a)
+    val = ((a - ah) * digamma(a)
            + ah * (math.log(b) - math.log(bh))
            + math.lgamma(ah) - math.lgamma(a)
            + a * (bh / b) - a)

@@ -14,12 +14,13 @@ Every estimator consumes a sample only through ``SufficientStats``, and
 is one entry of the name table ``_ESTIMATORS``: its constants, a one-step
 update of alpha, its scale estimate and, for BL1 and BL2, its Laplace
 summary.  Each update is written once, as ``step(op, alpha, *constants)``
-over the kernels of ``_ops``, and run by two drivers that stop when the
-relative change of alpha drops to ``rel_tol``: ``_fixed_point`` on Python
-floats for ``fit_*``, and ``_iterate`` on masked float64 arrays for
-``fit_batch`` over a ``StatsBatch`` of many samples.  IEEE arithmetic
-gives the same bits on both, so each element of a batch gets the result
-of the scalar fit, and is marked failed where that fit raises.
+over ``_ops``, specfun's float or array kernels, and run by two drivers
+that stop when the relative change of alpha drops to ``rel_tol`` or a
+step is not finite: ``_fixed_point`` on floats for ``fit_*``, and
+``_iterate`` on masked float64 arrays for ``fit_batch`` over a
+``StatsBatch`` of many samples.  Both give the same bits, so each element
+of a batch gets the result of the scalar fit, or is marked failed where
+that fit raises.
 """
 
 import math
@@ -32,12 +33,11 @@ import numpy as np
 
 from .distribution import InvGammaParams
 from .specfun import (
-    _clog,
-    _digamma,
+    _ARRAY_OPS,
+    _FLOAT_OPS,
     _inv_digamma,
     _inv_digamma_array,
-    _psi_psi1_array,
-    _trigamma,
+    _psi_psi1,
 )
 
 
@@ -46,9 +46,9 @@ class InsufficientDataError(ValueError):
 
 
 class DegenerateSampleError(ValueError):
-    """Sample variance is zero, so the moment initialization is undefined;
-    the moments overflow float64, so it is not finite; or the sample is so
-    close to constant that the ML2/BL2 update divides by zero."""
+    """The moment initialization is undefined (zero variance) or infinite
+    (the moments overflow float64); the ML2/BL2 update divides by zero on
+    a near-constant sample; or the estimate is not finite and > 0."""
 
 
 class InvalidPosteriorError(RuntimeError):
@@ -243,7 +243,7 @@ def profile_log_likelihood(stats: SufficientStats, alpha: float) -> float:
 
 def _surrogate_k(op, alpha, n, mean_log, log_sum_inv):
     # k1 and k2 of the k0 + k1*a + k2*log(a) surrogate at ``alpha``.
-    psi, psi1 = op.psi_psi1(alpha)
+    psi, psi1 = _psi_psi1(op, alpha)
     k1 = n * (-mean_log - psi + op.log(n * alpha) - log_sum_inv
               - alpha * psi1 + 1.0)
     k2 = n * (alpha * alpha * psi1 - alpha)
@@ -264,13 +264,13 @@ def quad_approx_coeffs(stats: SufficientStats, alpha: float) -> QuadLogLikApprox
 def _fixed_point(step, op, alpha: float, consts, conv: ConvergenceConfig):
     """The scalar fixed-point loop: ``alpha <- step(op, alpha, *consts)``
     until the relative change drops to ``conv.rel_tol``, ``conv.max_iter``
-    steps have run, or a step is NaN.  Returns (alpha, prev, iterations,
-    residual, converged), ``prev`` being the last step's input.
+    steps have run, or a step is not finite.  Returns (alpha, prev,
+    iterations, residual, converged), ``prev`` being the last step's input.
 
-    NaN is absorbing for every update rule, so a NaN step ends the loop
-    and the fit fails when its estimate is built.  A division by zero in a
-    step, as in the ML2/BL2 update on near-constant samples, raises
-    ``DegenerateSampleError``.
+    No update rule comes back from NaN or inf, so such a step ends the
+    loop and the fit fails when its estimate is checked.  A division by
+    zero in a step, as in the ML2/BL2 update on near-constant samples,
+    raises ``DegenerateSampleError``.
     """
     for it in range(1, conv.max_iter + 1):
         try:
@@ -283,9 +283,14 @@ def _fixed_point(step, op, alpha: float, consts, conv: ConvergenceConfig):
         prev, alpha = alpha, nxt
         if res <= conv.rel_tol:
             return alpha, prev, it, res, True
-        if math.isnan(nxt):
+        if not math.isfinite(nxt):
             break
     return alpha, prev, it, res, False
+
+
+def _valid_estimate(op, alpha, beta):
+    # What ``InvGammaParams`` requires of an estimate.
+    return op.isfinite(alpha) & (alpha > 0.0) & op.isfinite(beta) & (beta > 0.0)
 
 
 def _guarded(op, alpha, nxt):
@@ -297,17 +302,11 @@ def _guarded(op, alpha, nxt):
 
 
 def _ops(batched: bool) -> SimpleNamespace:
-    """The kernels a step calls, on floats or elementwise on float64 arrays
-    with the same bits.  Built per fit, so patched kernels are seen."""
+    """specfun's float or array kernels, which give the same bits, and
+    ψ⁻¹'s driver.  Built per fit, so patched kernels are seen."""
     if batched:
-        return SimpleNamespace(
-            log=_clog, psi_psi1=_psi_psi1_array,
-            inv_digamma=_inv_digamma_array, isfinite=np.isfinite,
-            sqrt=np.sqrt, where=np.where)
-    return SimpleNamespace(
-        log=math.log, psi_psi1=lambda x: (_digamma(x), _trigamma(x)),
-        inv_digamma=_inv_digamma, isfinite=math.isfinite, sqrt=math.sqrt,
-        where=lambda cond, a, b: a if cond else b)
+        return SimpleNamespace(**vars(_ARRAY_OPS), inv_digamma=_inv_digamma_array)
+    return SimpleNamespace(**vars(_FLOAT_OPS), inv_digamma=_inv_digamma)
 
 
 # The parts of each estimator, over ``SufficientStats`` or ``StatsBatch``
@@ -334,7 +333,7 @@ def _ml1_step(op, alpha, n, c_const):
 
 
 def _ml2_step(op, alpha, n, c_const):
-    psi, psi1 = op.psi_psi1(alpha)
+    psi, psi1 = _psi_psi1(op, alpha)
     num = c_const - psi + op.log(n * alpha)
     den = alpha * alpha * (1.0 / alpha - psi1)
     inv = 1.0 / alpha + num / den
@@ -356,7 +355,7 @@ def _bl1_step(op, alpha, n, log_a_hat, b_hat, c_hat, d, log_e_hat):
 
 
 def _bl1_posterior(op, alpha, prev, n, log_a_hat, b_hat, *rest):
-    return alpha, b_hat * op.psi_psi1(alpha)[1], False
+    return alpha, b_hat * _psi_psi1(op, alpha)[1], False
 
 
 def _bl2_constants(op, s, o):
@@ -374,7 +373,7 @@ def _bl2_posterior(op, alpha, prev, n, mean_log, log_sum_inv, w1, w2):
     # From the posterior weights w~ = w + k of the last step, from ``prev``.
     k1, k2 = _surrogate_k(op, prev, n, mean_log, log_sum_inv)
     w1t, w2t = w1 + k1, w2 + k2
-    return -w2t / w1t, w2t / (alpha * alpha), (w1t >= 0.0) | (w2t <= 0.0)
+    return -w2t / w1t, op.div(w2t, alpha * alpha), (w1t >= 0.0) | (w2t <= 0.0)
 
 
 class _Estimator(NamedTuple):
@@ -414,8 +413,8 @@ def _fit(name: str, stats: SufficientStats,
     est = _ESTIMATORS[name]
     alpha = _mm_alpha(stats)
     it, res, conv, posterior = 0, 0.0, True, None
+    op = _ops(batched=False)
     if est.step is not None:
-        op = _ops(batched=False)
         consts = est.constants(op, stats, options)
         alpha, prev, it, res, conv = _fixed_point(est.step, op, alpha, consts,
                                                   options.conv)
@@ -427,6 +426,9 @@ def _fit(name: str, stats: SufficientStats,
                     f"{mean!r}, precision {precision!r})")
             posterior = LaplaceSummary(mean, precision)
     beta = est.beta(stats, options, alpha)
+    if not _valid_estimate(op, alpha, beta):
+        raise DegenerateSampleError(f"{name} estimate alpha={alpha!r}, "
+                                    f"beta={beta!r} is not finite and > 0")
     return FitReport(InvGammaParams(alpha, beta), it, conv, res, posterior)
 
 
@@ -568,7 +570,7 @@ def _iterate(step, op, alpha0, consts, conv: ConvergenceConfig):
     for each element still iterating, with its own entries of the array
     constants, stopping by the rule of ``_fixed_point`` and returning the
     same tuple, per element.  A step is NaN where the scalar step raises,
-    and maps NaN to NaN, so that element stops there and its fit fails.
+    and an element stops at a non-finite step, so its fit fails.
     """
     alpha = alpha0.copy()
     prev = alpha0.copy()
@@ -589,7 +591,7 @@ def _iterate(step, op, alpha0, consts, conv: ConvergenceConfig):
         iterations[live] = it
         done = res <= conv.rel_tol
         converged[live[done]] = True
-        live = live[~(done | np.isnan(nxt))]
+        live = live[~done & np.isfinite(nxt)]
     return alpha, prev, iterations, residual, converged
 
 
@@ -614,15 +616,15 @@ def fit_batch(name: str, batch: StatsBatch,
         a = b.mean * b.mean / b.var + 2.0
         it, res = np.zeros(len(b), np.int64), np.zeros(len(b))
         ok = np.ones(len(b), dtype=bool)
+        op = _ops(batched=True)
         if est.step is not None:
-            op = _ops(batched=True)
             consts = est.constants(op, b, options)
             a, prev, it, res, ok = _iterate(est.step, op, a, consts,
                                             options.conv)
             if est.posterior is not None:
                 a[ok & est.posterior(op, a, prev, *consts)[2]] = math.nan
         bt = est.beta(b, options, a)
-    good = np.isfinite(a) & (a > 0.0) & np.isfinite(bt) & (bt > 0.0)
+        good = _valid_estimate(op, a, bt)
 
     def scatter(values, fill):
         out = np.full(len(batch), fill, dtype=values.dtype)

@@ -1,20 +1,20 @@
-"""Scalar special functions used by every estimator.
+"""Special functions used by every estimator.
 
-``ln_gamma`` delegates to the C library ``lgamma``.  ``digamma`` and
-``trigamma`` lift the argument above ``_SHIFT`` with the standard
-recurrences and then evaluate the de Moivre asymptotic series through the
-x**-14 term, which keeps the truncation error below ~2e-13 at the
+``ln_gamma`` delegates to the C library ``lgamma``.  ``_psi_psi1`` lifts
+the argument above ``_SHIFT`` with the standard recurrences and then
+evaluates the de Moivre asymptotic series of digamma and trigamma through
+the x**-14 term, which keeps the truncation error below ~2e-13 at the
 threshold.  ``inv_digamma`` is a guarded Newton iteration.
 
-The ``_``-prefixed kernels skip argument validation because their callers
-pass values that are already validated; the public wrappers validate and
-raise.  ``_psi_psi1_array`` and ``_inv_digamma_array`` are the elementwise
-versions used by the batched fitters: they repeat the scalar kernels
-operation for operation, and take logs and exps from the C library, so each
-element gets the same bits as the scalar call.
+Each kernel is written once over an ``op`` table: ``_FLOAT_OPS`` on Python
+floats, or ``_ARRAY_OPS`` elementwise on float64 arrays for the batched
+fitters, with C-library logs and exps so that each element gets the bits
+of the float call.  The ``_``-prefixed kernels skip argument validation;
+the public wrappers validate and raise.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,108 +22,96 @@ EULER_GAMMA = 0.5772156649015328606
 
 _SHIFT = 6.0
 
-
-def _digamma(x):
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    r = 1.0 / (x * x)
-    tail = r * (1.0 / 12.0 - r * (1.0 / 120.0 - r * (1.0 / 252.0 - r * (
-        1.0 / 240.0 - r * (1.0 / 132.0 - r * (691.0 / 32760.0 - r * (1.0 / 12.0)))))))
-    return acc + math.log(x) - 0.5 / x - tail
+_LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
 
-def _trigamma(x):
-    acc = 0.0
-    while x < _SHIFT:
-        acc += 1.0 / (x * x)
-        x += 1.0
-    r = 1.0 / (x * x)
-    poly = 1.0 / 6.0 - r * (1.0 / 30.0 - r * (1.0 / 42.0 - r * (
-        1.0 / 30.0 - r * (5.0 / 66.0 - r * (691.0 / 2730.0 - r * (7.0 / 6.0))))))
-    return acc + 1.0 / x + 0.5 * r + poly * r / x
+def _elementwise(f):
+    # ``f`` from the C library on each element, as on floats: numpy's SIMD
+    # log and exp can differ by an ulp.
+    return lambda a: np.fromiter(map(f, a.tolist()), np.float64, a.size)
 
 
-def _inv_digamma(y):
-    # Two-branch initializer, then Newton on a concave increasing function.
-    if y >= -2.22:
-        x = math.exp(y) + 0.5
-    else:
-        x = -1.0 / (y + EULER_GAMMA)
-    for _ in range(100):
-        err = _digamma(x) - y
-        if abs(err) <= 1e-12 * max(1.0, abs(y)):
-            return x
-        step = err / _trigamma(x)
-        nxt = x - step
-        if nxt <= 0.0:
-            nxt = 0.5 * x
-        x = nxt
-    return math.nan
+_clog, _cexp = _elementwise(math.log), _elementwise(math.exp)
+
+# ``div`` gives IEEE's a * inf at b == +0 on floats too, where Python
+# raises ZeroDivisionError.
+_FLOAT_OPS = SimpleNamespace(
+    log=math.log, exp=math.exp, sqrt=math.sqrt, isfinite=math.isfinite,
+    any=bool, where=lambda c, a, b: a if c else b,
+    div=lambda a, b: a / b if b else a * math.inf)
+_ARRAY_OPS = SimpleNamespace(
+    log=_clog, exp=_cexp, sqrt=np.sqrt, isfinite=np.isfinite, any=np.any,
+    where=np.where, div=np.divide)
 
 
-def _clog(a: np.ndarray) -> np.ndarray:
-    # C log, as in the scalar kernels: numpy's SIMD log can differ by an ulp.
-    return np.fromiter(map(math.log, a.tolist()), np.float64, a.size)
-
-
-def _cexp(a: np.ndarray) -> np.ndarray:
-    # C exp, for the same reason as ``_clog``.
-    return np.fromiter(map(math.exp, a.tolist()), np.float64, a.size)
-
-
-@np.errstate(over="ignore")
-def _psi_psi1_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_digamma`` and ``_trigamma`` of every element of ``x`` > 0.
-
-    The shift below ``_SHIFT`` is at most six masked recurrence steps,
-    since x + 1.0 >= 1.0 for any x > 0.  x * x overflows to inf without a
-    warning, as it does for Python floats.
-    """
-    acc_d = np.zeros_like(x)
-    acc_t = np.zeros_like(x)
+def _psi_psi1(op, x):
+    """Digamma and trigamma of ``x`` > 0.  The shift is masked (``m`` is
+    0.0 once x is above ``_SHIFT``), so each element of an array adds what
+    its float adds, in at most six steps since x + 1.0 >= 1.0."""
+    acc_d = acc_t = 0.0
     low = x < _SHIFT
-    while low.any():
-        acc_d = np.where(low, acc_d - 1.0 / x, acc_d)
-        acc_t = np.where(low, acc_t + 1.0 / (x * x), acc_t)
-        x = np.where(low, x + 1.0, x)
+    while op.any(low):
+        m = low * 1.0
+        acc_d = acc_d - m / x
+        acc_t = acc_t + op.div(m, x * x)
+        x = x + m
         low = x < _SHIFT
     r = 1.0 / (x * x)
     tail = r * (1.0 / 12.0 - r * (1.0 / 120.0 - r * (1.0 / 252.0 - r * (
         1.0 / 240.0 - r * (1.0 / 132.0 - r * (691.0 / 32760.0 - r * (1.0 / 12.0)))))))
     poly = 1.0 / 6.0 - r * (1.0 / 30.0 - r * (1.0 / 42.0 - r * (
         1.0 / 30.0 - r * (5.0 / 66.0 - r * (691.0 / 2730.0 - r * (7.0 / 6.0))))))
-    psi = acc_d + _clog(x) - 0.5 / x - tail
-    psi1 = acc_t + 1.0 / x + 0.5 * r + poly * r / x
-    return psi, psi1
+    return (acc_d + op.log(x) - 0.5 / x - tail,
+            acc_t + 1.0 / x + 0.5 * r + poly * r / x)
+
+
+def _inv_digamma_start(op, y):
+    """Minka's two-branch start for digamma(x) = y, +inf above
+    log(DBL_MAX), and the Newton tolerance.  Each branch sees every
+    element, on an argument inside its range."""
+    upper = y >= -2.22
+    e = op.exp(op.where(y > _LOG_DBL_MAX, math.inf, y))
+    x = op.where(upper, e + 0.5,
+                 -1.0 / (op.where(upper, -3.0, y) + EULER_GAMMA))
+    ay = abs(y)
+    return x, 1e-12 * op.where(ay > 1.0, ay, 1.0)
+
+
+def _newton(op, x, y, tol):
+    """Whether ``x`` (or +inf) solves digamma(x) = y, and the guarded
+    Newton step from ``x``."""
+    psi, psi1 = _psi_psi1(op, x)
+    err = psi - y
+    nxt = x - op.div(err, psi1)
+    return ((abs(err) <= tol) | (x == math.inf),
+            op.where(nxt <= 0.0, 0.5 * x, nxt))
+
+
+def _inv_digamma(y):
+    x, tol = _inv_digamma_start(_FLOAT_OPS, y)
+    for _ in range(100):
+        done, nxt = _newton(_FLOAT_OPS, x, y, tol)
+        if done:
+            return x
+        x = nxt
+    return math.nan
 
 
 def _inv_digamma_array(y: np.ndarray) -> np.ndarray:
     """``_inv_digamma`` of every element of ``y``; an element leaves the
     Newton loop when it converges, and is NaN if it never does."""
-    y = np.asarray(y, dtype=np.float64)
-    upper = y >= -2.22
-    x = np.empty_like(y)
-    x[upper] = _cexp(y[upper]) + 0.5
-    x[~upper] = -1.0 / (y[~upper] + EULER_GAMMA)
-    tol = 1e-12 * np.maximum(1.0, np.abs(y))
+    x, tol = _inv_digamma_start(_ARRAY_OPS, y)
     out = np.full_like(y, math.nan)
     live = np.arange(y.size)
     for _ in range(100):
-        psi, psi1 = _psi_psi1_array(x)
-        err = psi - y
-        done = np.abs(err) <= tol
+        if not live.size:
+            break
+        done, nxt = _newton(_ARRAY_OPS, x, y, tol)
         if done.any():
             out[live[done]] = x[done]
             keep = ~done
-            live, x, y, tol = live[keep], x[keep], y[keep], tol[keep]
-            err, psi1 = err[keep], psi1[keep]
-            if not live.size:
-                break
-        step = err / psi1
-        nxt = x - step
-        x = np.where(nxt <= 0.0, 0.5 * x, nxt)
+            live, nxt, y, tol = live[keep], nxt[keep], y[keep], tol[keep]
+        x = nxt
     return out
 
 
@@ -141,12 +129,12 @@ def ln_gamma(x: float) -> float:
 
 def digamma(x: float) -> float:
     """First log-derivative of Gamma, for x > 0."""
-    return _digamma(_check_positive("digamma", x))
+    return _psi_psi1(_FLOAT_OPS, _check_positive("digamma", x))[0]
 
 
 def trigamma(x: float) -> float:
     """Second log-derivative of Gamma, for x > 0; always positive."""
-    return _trigamma(_check_positive("trigamma", x))
+    return _psi_psi1(_FLOAT_OPS, _check_positive("trigamma", x))[1]
 
 
 def inv_digamma(y: float) -> float:
@@ -154,7 +142,8 @@ def inv_digamma(y: float) -> float:
 
     Newton converges in a handful of steps from the two-branch
     initializer; hitting the iteration cap means the kernel is broken,
-    so that surfaces as a RuntimeError rather than a bad value.
+    so that surfaces as a RuntimeError rather than a bad value.  Above
+    log(DBL_MAX) ~ 709.78 the root exceeds the largest float: +inf.
     """
     y = float(y)
     if not math.isfinite(y):

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: output values, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invgamma import (
+    ESTIMATORS,
     InvGammaParams,
     compute_stats,
     fit_ml1,
@@ -114,6 +117,32 @@ class TestFit:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("invgamma: "), lines
 
+    @pytest.mark.parametrize("estimator", ["ml2", "bl2"])
+    def test_non_finite_estimate_exits_4(self, estimator):
+        # sum(1/x) overflows to inf, so beta_hat underflows to 0.
+        res = run_cli("fit", "--estimator", estimator,
+                      stdin="2.83233e-318\n2613.711528902175\n")
+        assert res.returncode == 4
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"invgamma: {estimator.upper()} estimate ")
+        assert lines[0].endswith("beta=0.0 is not finite and > 0")
+
+    @pytest.mark.parametrize("prior_c", ["0.5", "1"])
+    def test_runaway_bl1_prior_exits_4(self, tmp_path, prior_c):
+        # With c > b the BL1 update sends alpha to infinity on this sample.
+        data = run_cli("sample", "--alpha", "10", "--beta", "25", "--n", "50",
+                       "--seed", "1").stdout
+        path = tmp_path / "s.txt"
+        path.write_text(data)
+        res = run_cli("fit", "--estimator", "bl1", "--prior-c", prior_c,
+                      "--input", str(path))
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert res.stderr == ("invgamma: BL1 estimate alpha=inf, beta=inf is "
+                              "not finite and > 0\n")
+
     def test_bl2_near_constant_does_not_converge(self):
         # On this sample the flat-prior BL2 update rounds differently from
         # ML2's (which divides by zero): it runs out its iterations instead.
@@ -142,6 +171,40 @@ class TestFit:
     def test_unknown_flag_exits_2(self):
         res = run_cli("fit", "--estimator", "mm", "--nope", stdin="1\n2\n")
         assert res.returncode == 2
+
+
+@st.composite
+def positive_samples(draw):
+    """Positive float64 samples from subnormal up to 1.7e308, half of them
+    near-constant: one value x times 1 + k ulp for small k."""
+    values = st.floats(5e-324, 1.7e308)
+    if draw(st.booleans()):
+        return draw(st.lists(values, min_size=1, max_size=40))
+    x = draw(values)
+    ks = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=40))
+    return [x * (1.0 + k * sys.float_info.epsilon) for k in ks]
+
+
+class TestFitProperty:
+    """Every positive sample gets a fit or a typed error: exit 0, or exit 4
+    with one stderr line; never a traceback or a bad-parameter exit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(estimator=st.sampled_from([e.lower() for e in ESTIMATORS]),
+           values=positive_samples())
+    @example(estimator="ml2", values=[2.83233e-318, 2613.711528902175])
+    @example(estimator="bl2", values=[2.83233e-318, 2613.711528902175])
+    def test_exits_0_or_4(self, estimator, values):
+        stdin = io.StringIO("".join(f"{v!r}\n" for v in values))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", stdin), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["fit", "--estimator", estimator])
+        lines = err.getvalue().splitlines()
+        assert (code, len(lines)) in ((0, 0), (4, 1)), (code, lines)
+        if code == 0:
+            assert parse_kv(out.getvalue())["n"] == str(len(values))
 
 
 def _sample_lines(n: int, seed: int) -> list[str]:
@@ -312,6 +375,28 @@ class TestSample:
         x = sample(InvGammaParams(0.6, 2.0), n, np.random.default_rng(11))
         assert res.stdout == "".join(f"{v:.17g}\n" for v in x)
 
+    @pytest.mark.parametrize("args", [
+        ("sample", "--alpha", "10", "--beta", "25", "--n", "200000"),
+        ("fit", "--estimator", "ml1"),
+        ("kl", "--p-alpha", "3", "--p-beta", "2", "--q-alpha", "4",
+         "--q-beta", "1"),
+    ])
+    def test_closed_stdout_exits_5(self, args):
+        # A pipe whose reader has already gone, as after ``| head -1``.
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            res = subprocess.run([sys.executable, "-m", "invgamma", *args],
+                                 input="0.5\n1.2\n0.8\n", stdout=w,
+                                 stderr=subprocess.PIPE, text=True,
+                                 env=os.environ.copy())
+        finally:
+            os.close(w)
+        assert res.returncode == 5
+        assert "Traceback" not in res.stderr
+        assert "Exception ignored" not in res.stderr
+        assert len(res.stderr.splitlines()) <= 1
+
     def test_closure_roundtrip(self, tmp_path):
         """Samples piped back through the ML1 fitter recover the shape."""
         res = run_cli("sample", "--alpha", "10", "--beta", "25",
@@ -390,6 +475,20 @@ class TestBenchmark:
                        for line in out.read_text().splitlines())
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "6111472ce619b1a23875f0b96eb6b0d320ec35dc2d9cdf871b88f6f37a93cbb1")
+
+    def test_runaway_bl1_prior_writes_nan_rows(self, tmp_path):
+        # With c > b the BL1 update sends alpha to infinity on three of
+        # these samples: they are failed rows, and the sweep goes on.
+        out = tmp_path / "bench.csv"
+        res = run_cli("benchmark", "--sizes", "50", "--sims", "5",
+                      "--prior-c", "0.5", "--estimators", "BL1",
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        records = read_records_csv(str(out))
+        failed = [r.sim for r in records if math.isnan(r.alpha_hat)]
+        assert failed == [0, 3, 4]
+        assert all(r.converged for r in records if r.sim not in failed)
+        assert "excluded 3 failed fits" in res.stdout
 
     @pytest.mark.parametrize("names, msg", [
         (",", "estimators must not be empty"),

@@ -487,7 +487,8 @@ class TestFixedPointStops:
         monkeypatch.setattr(estimators, "_inv_digamma", nan_inv_digamma)
         for fitter in (fit_ml1, fit_bl1):
             calls.clear()
-            with pytest.raises(ValueError, match="alpha must be finite"):
+            with pytest.raises(DegenerateSampleError,
+                               match="alpha=nan, beta=nan is not finite"):
                 fitter(demo_stats)
             assert len(calls) == 1, fitter.__name__
 
@@ -566,12 +567,16 @@ BATCH_OPTIONS = (
     FitOptions(shape_prior=ShapePriorABC.with_a(2.0, 0.5, 0.5),
                scale_prior=ScaleGammaPrior(2.0, 0.5),
                poly_prior=PolyShapePrior(0.0, -1.0, 3.0)),
+    # c > b: BL1's alpha can run away to inf.
+    FitOptions(shape_prior=ShapePriorABC.with_a(1.0, 0.01, 0.5)),
+    # BL2's alpha falls to ~1e-307, where trigamma is +inf.
+    FitOptions(poly_prior=PolyShapePrior(1.0, -1e308, 0.0)),
 )
 # What the scalar fitters raise: the domain errors, including the
-# DegenerateSampleError of ML2/BL2 on near-constant samples, and
-# InvGammaParams' ValueError for a non-finite or non-positive estimate.
+# DegenerateSampleError of ML2/BL2 on near-constant samples and of a
+# non-finite or non-positive estimate.
 SCALAR_RAISES = (InsufficientDataError, DegenerateSampleError,
-                 InvalidPosteriorError, ValueError)
+                 InvalidPosteriorError)
 
 
 @st.composite

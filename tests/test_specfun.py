@@ -1,20 +1,19 @@
 """Special-function kernels against independent series/quadrature oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from invgamma import digamma, inv_digamma, ln_gamma, trigamma
-from invgamma.specfun import (
-    _digamma,
-    _inv_digamma,
-    _inv_digamma_array,
-    _psi_psi1_array,
-    _trigamma,
-)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from invgamma import digamma, inv_digamma, ln_gamma, specfun, trigamma
+from invgamma.specfun import _ARRAY_OPS, _FLOAT_OPS, _cexp, _clog
 
 EULER_GAMMA = 0.5772156649015329
+LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def digamma_series(x: float, terms: int = 10 ** 6) -> float:
@@ -116,6 +115,10 @@ class TestTrigamma:
         with pytest.raises(ValueError):
             trigamma(0.0)
 
+    def test_inf_where_square_underflows(self):
+        assert trigamma(1e-170) == math.inf
+        assert trigamma(1e-320) == math.inf
+
 
 class TestInverseDigamma:
     def test_inverse_of_known_points(self):
@@ -141,6 +144,11 @@ class TestInverseDigamma:
         with pytest.raises(ValueError):
             inv_digamma(math.inf)
 
+    def test_inf_above_log_dbl_max(self):
+        assert inv_digamma(LOG_DBL_MAX) < math.inf
+        assert inv_digamma(math.nextafter(LOG_DBL_MAX, 710.0)) == math.inf
+        assert inv_digamma(1e300) == math.inf
+
 
 class TestDerivativeConsistency:
     """Central differences tie ln_gamma -> digamma -> trigamma."""
@@ -160,34 +168,189 @@ class TestDerivativeConsistency:
             assert abs(fd - trigamma(x)) <= 1e-6 * max(1.0, trigamma(x))
 
 
+# The float and array kernels that ``specfun._psi_psi1`` and the two
+# ``_inv_digamma`` drivers replaced, verbatim: the bitwise references.
+
+_SHIFT = 6.0
+
+
+def _digamma(x):
+    acc = 0.0
+    while x < _SHIFT:
+        acc -= 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    tail = r * (1.0 / 12.0 - r * (1.0 / 120.0 - r * (1.0 / 252.0 - r * (
+        1.0 / 240.0 - r * (1.0 / 132.0 - r * (691.0 / 32760.0 - r * (1.0 / 12.0)))))))
+    return acc + math.log(x) - 0.5 / x - tail
+
+
+def _trigamma(x):
+    acc = 0.0
+    while x < _SHIFT:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    r = 1.0 / (x * x)
+    poly = 1.0 / 6.0 - r * (1.0 / 30.0 - r * (1.0 / 42.0 - r * (
+        1.0 / 30.0 - r * (5.0 / 66.0 - r * (691.0 / 2730.0 - r * (7.0 / 6.0))))))
+    return acc + 1.0 / x + 0.5 * r + poly * r / x
+
+
+def _inv_digamma(y):
+    # Two-branch initializer, then Newton on a concave increasing function.
+    if y >= -2.22:
+        x = math.exp(y) + 0.5
+    else:
+        x = -1.0 / (y + EULER_GAMMA)
+    for _ in range(100):
+        err = _digamma(x) - y
+        if abs(err) <= 1e-12 * max(1.0, abs(y)):
+            return x
+        step = err / _trigamma(x)
+        nxt = x - step
+        if nxt <= 0.0:
+            nxt = 0.5 * x
+        x = nxt
+    return math.nan
+
+
+@np.errstate(over="ignore")
+def _psi_psi1_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_digamma`` and ``_trigamma`` of every element of ``x`` > 0.
+
+    The shift below ``_SHIFT`` is at most six masked recurrence steps,
+    since x + 1.0 >= 1.0 for any x > 0.  x * x overflows to inf without a
+    warning, as it does for Python floats.
+    """
+    acc_d = np.zeros_like(x)
+    acc_t = np.zeros_like(x)
+    low = x < _SHIFT
+    while low.any():
+        acc_d = np.where(low, acc_d - 1.0 / x, acc_d)
+        acc_t = np.where(low, acc_t + 1.0 / (x * x), acc_t)
+        x = np.where(low, x + 1.0, x)
+        low = x < _SHIFT
+    r = 1.0 / (x * x)
+    tail = r * (1.0 / 12.0 - r * (1.0 / 120.0 - r * (1.0 / 252.0 - r * (
+        1.0 / 240.0 - r * (1.0 / 132.0 - r * (691.0 / 32760.0 - r * (1.0 / 12.0)))))))
+    poly = 1.0 / 6.0 - r * (1.0 / 30.0 - r * (1.0 / 42.0 - r * (
+        1.0 / 30.0 - r * (5.0 / 66.0 - r * (691.0 / 2730.0 - r * (7.0 / 6.0))))))
+    psi = acc_d + _clog(x) - 0.5 / x - tail
+    psi1 = acc_t + 1.0 / x + 0.5 * r + poly * r / x
+    return psi, psi1
+
+
+def _inv_digamma_array(y: np.ndarray) -> np.ndarray:
+    """``_inv_digamma`` of every element of ``y``; an element leaves the
+    Newton loop when it converges, and is NaN if it never does."""
+    y = np.asarray(y, dtype=np.float64)
+    upper = y >= -2.22
+    x = np.empty_like(y)
+    x[upper] = _cexp(y[upper]) + 0.5
+    x[~upper] = -1.0 / (y[~upper] + EULER_GAMMA)
+    tol = 1e-12 * np.maximum(1.0, np.abs(y))
+    out = np.full_like(y, math.nan)
+    live = np.arange(y.size)
+    for _ in range(100):
+        psi, psi1 = _psi_psi1_array(x)
+        err = psi - y
+        done = np.abs(err) <= tol
+        if done.any():
+            out[live[done]] = x[done]
+            keep = ~done
+            live, x, y, tol = live[keep], x[keep], y[keep], tol[keep]
+            err, psi1 = err[keep], psi1[keep]
+            if not live.size:
+                break
+        step = err / psi1
+        nxt = x - step
+        x = np.where(nxt <= 0.0, 0.5 * x, nxt)
+    return out
+
+
+def assert_bitwise(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def new_psi_psi1(xs: np.ndarray):
+    """The kernel on an array, and on each of its elements as a float."""
+    with np.errstate(all="ignore"):
+        arr = specfun._psi_psi1(_ARRAY_OPS, xs)
+    floats = np.array([specfun._psi_psi1(_FLOAT_OPS, x) for x in xs.tolist()])
+    return arr, floats.reshape(-1, 2).T
+
+
+def new_inv_digamma(ys: np.ndarray):
+    with np.errstate(all="ignore"):
+        arr = specfun._inv_digamma_array(ys)
+    return arr, [specfun._inv_digamma(y) for y in ys.tolist()]
+
+
 class TestArrayKernels:
-    """The batched fitters' array kernels give the scalar kernels' bits."""
+    """The one kernel gives the same bits on floats and on arrays, and the
+    bits of the float and array kernels it replaced."""
 
-    @staticmethod
-    def assert_bitwise(got, want):
-        want = np.array(want, dtype=np.float64)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    # logspace(-3, 6), tiny arguments whose square is still normal, and the
-    # shift threshold from both sides.
+    # logspace(-3, 6), tiny arguments, some with a square that underflows,
+    # and the shift threshold from both sides.
     XS = np.concatenate([np.logspace(-3, 6, 4001),
-                         [1e-150, 1e-100, 1e-30, 1e-17, 1e-8, 1e-5,
-                          np.nextafter(6.0, 0.0), 6.0, np.nextafter(6.0, 7.0)]])
+                         [1e-320, 1e-170, 1e-150, 1e-100, 1e-30, 1e-17, 1e-8,
+                          1e-5, np.nextafter(6.0, 0.0), 6.0,
+                          np.nextafter(6.0, 7.0)]])
 
     def test_psi_psi1_match_scalar(self):
-        psi, psi1 = _psi_psi1_array(self.XS)
-        self.assert_bitwise(psi, [_digamma(x) for x in self.XS.tolist()])
-        self.assert_bitwise(psi1, [_trigamma(x) for x in self.XS.tolist()])
+        (psi, psi1), (fpsi, fpsi1) = new_psi_psi1(self.XS)
+        assert_bitwise(psi, fpsi)
+        assert_bitwise(psi1, fpsi1)
+        with np.errstate(divide="ignore"):
+            ref_psi, ref_psi1 = _psi_psi1_array(self.XS)
+        assert_bitwise(psi, ref_psi)
+        assert_bitwise(psi1, ref_psi1)
+        assert_bitwise(psi, [_digamma(x) for x in self.XS.tolist()])
+        # The float reference raises ZeroDivisionError where x * x
+        # underflows; the array reference and the kernel give +inf there.
+        normal = self.XS * self.XS > 0.0
+        assert_bitwise(psi1[normal],
+                       [_trigamma(x) for x in self.XS[normal].tolist()])
+        assert np.all(psi1[~normal] == math.inf)
 
     def test_inv_digamma_matches_scalar(self):
-        ys = np.concatenate([_psi_psi1_array(self.XS)[0],
+        ys = np.concatenate([new_psi_psi1(self.XS[self.XS > 1e-300])[0][0],
                              -np.logspace(np.log10(2.22), 8, 1001),
                              np.linspace(-2.3, -2.1, 401),
                              np.linspace(-1.0, 700.0, 701),
-                             [-2.22, np.nextafter(-2.22, -3.0)]])
-        self.assert_bitwise(_inv_digamma_array(ys),
-                            [_inv_digamma(y) for y in ys.tolist()])
+                             np.linspace(700.0, LOG_DBL_MAX, 101),
+                             [-2.22, np.nextafter(-2.22, -3.0), -EULER_GAMMA,
+                              np.nextafter(LOG_DBL_MAX, 710.0), 710.0, 800.0,
+                              1e8, 1e300]])
+        got, floats = new_inv_digamma(ys)
+        assert_bitwise(got, floats)
+        # exp(y) overflows in both references above log(DBL_MAX).
+        fits = ys <= LOG_DBL_MAX
+        with np.errstate(all="ignore"):
+            assert_bitwise(got[fits], _inv_digamma_array(ys[fits]))
+        assert_bitwise(got[fits], [_inv_digamma(y) for y in ys[fits].tolist()])
+        assert np.all(got[~fits] == math.inf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(1e-150, 1e300),
+           y=st.floats(-1e8, 709.0, exclude_min=True, exclude_max=True))
+    def test_matches_references_property(self, x, y):
+        (psi, psi1), (fpsi, fpsi1) = new_psi_psi1(np.array([x]))
+        with np.errstate(all="ignore"):
+            ref_psi, ref_psi1 = _psi_psi1_array(np.array([x]))
+        for got in (psi, fpsi, ref_psi):
+            assert_bitwise(got, [_digamma(x)])
+        for got in (psi1, fpsi1, ref_psi1):
+            assert_bitwise(got, [_trigamma(x)])
+        got, floats = new_inv_digamma(np.array([y]))
+        with np.errstate(all="ignore"):
+            ref = _inv_digamma_array(np.array([y]))
+        for other in (floats, ref):
+            assert_bitwise(got, other)
+        assert_bitwise(got, [_inv_digamma(y)])
 
     def test_empty(self):
-        assert _inv_digamma_array(np.empty(0)).shape == (0,)
+        assert specfun._inv_digamma_array(np.empty(0)).shape == (0,)
