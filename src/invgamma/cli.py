@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -87,8 +88,19 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return sizes
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every negative number after a flag as its value.  argparse's
+    own pattern misses the exponent form, so ``--w1 -1e3`` was taken for
+    an unknown flag; subcommand parsers are made with this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invgamma",
         description="Inverse Gamma estimation, sampling, KL divergence and "
                     "benchmark experiments.")

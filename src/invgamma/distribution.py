@@ -72,19 +72,42 @@ _BLOCK = 65536
 def _gamma_mt_accept(z, u, d, c):
     """Marsaglia-Tsang (2000) draws from one block of (normal, uniform)
     pairs, in pair order: the v > 0 mask, then the squeeze test, then the
-    log test for the pairs the squeeze rejects."""
+    log test log u < z²/2 + d(1 - v + log v) for the live pairs the
+    squeeze rejects.
+
+    The log test is a filter in the manner of Shewchuk (1997).  It is
+    decided with numpy's SIMD ``np.log``, and that answer is kept where
+    the gap g = z²/2 - log u + d(1 - v + log v) has
+    |g| > 1e-8 D, D = d max(|1 - v|, |log v|).  As 1 - v and log v have
+    opposite signs, z²/2 - log u <= |g| + D, so the size of the terms,
+    z²/2 + |log u| + d(|1 - v| + |log v|), is at most |g| + 3D, and a kept
+    |g| is above 3e-9 of it.  A log a few ulp off moves g by about 1e-16
+    of that size, so it cannot flip a kept answer.  The other pairs (none
+    in a seed-0 sweep) are decided again with the C library's log, as the
+    scalar loop decides them.  The draws are d·v and contain no log, so
+    the stream is the same on every host.  A uniform of exactly 0 is
+    accepted (log 0 = -inf), where ``math.log`` raised.
+    """
     v = 1.0 + c * z
-    if not v.min() > 0.0:  # rare: needs z < -3 sqrt(d)
-        live = v > 0.0
-        z, u, v = z[live], u[live], v[live]
+    live = v > 0.0
     v = v * v * v
     z2 = z * z
+    # The squeeze never accepts a dead pair: v <= 0 needs z <= -1/c,
+    # and -1/c <= -sqrt(6) (d >= 2/3) makes 1 - 0.0331 z⁴ negative.
     accept = u < 1.0 - 0.0331 * z2 * z2
-    rest = np.flatnonzero(~accept)
+    rest = (live > accept).nonzero()[0]
     if rest.size:
         vr = v[rest]
-        accept[rest] = (_clog(u[rest])
-                        < 0.5 * z2[rest] + d * (1.0 - vr + _clog(vr)))
+        w, lv = 1.0 - vr, np.log(vr)
+        gap = 0.5 * z2[rest] - np.log(u[rest]) + d * (w + lv)
+        accept[rest] = gap > 0.0
+        # D = -d min(1 - v, log v).  A v³ of inf makes the gap NaN, a
+        # rejection here as in the C log test.
+        near = rest[np.abs(gap) <= -1e-8 * d * np.minimum(w, lv)]
+        if near.size:
+            vn = v[near]
+            accept[near] = (_clog(u[near])
+                            < 0.5 * z2[near] + d * (1.0 - vn + _clog(vn)))
     return d * v[accept]
 
 

@@ -47,8 +47,9 @@ class InsufficientDataError(ValueError):
 
 class DegenerateSampleError(ValueError):
     """The moment initialization is undefined (zero variance) or infinite
-    (the moments overflow float64); the ML2/BL2 update divides by zero on
-    a near-constant sample; or the estimate is not finite and > 0."""
+    (the moments overflow float64); sum(1/x) overflows, which leaves the
+    ML1/BL1 update undefined; the ML2/BL2 update divides by zero on a
+    near-constant sample; or the estimate is not finite and > 0."""
 
 
 class InvalidPosteriorError(RuntimeError):
@@ -398,6 +399,10 @@ _ESTIMATORS = {
                       _bl2_posterior),
 }
 ESTIMATORS = tuple(_ESTIMATORS)
+# Each step takes ψ⁻¹ of a sum holding -log sum(1/x).  An inf sum(1/x)
+# makes that ψ⁻¹(-inf) = 0, where its Newton update divides by zero; ML2
+# and BL2 run on and give beta = 0.
+_NEEDS_FINITE_SUM_INV = ("ML1", "BL1")
 
 
 def _spec(name: str) -> _Estimator:
@@ -414,6 +419,9 @@ def _fit(name: str, stats: SufficientStats,
     alpha = _mm_alpha(stats)
     it, res, conv, posterior = 0, 0.0, True, None
     op = _ops(batched=False)
+    if name in _NEEDS_FINITE_SUM_INV and stats.sum_inv == math.inf:
+        raise DegenerateSampleError(
+            f"sum(1/x) overflows float64, so the {name} update is undefined")
     if est.step is not None:
         consts = est.constants(op, stats, options)
         alpha, prev, it, res, conv = _fixed_point(est.step, op, alpha, consts,

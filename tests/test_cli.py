@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output values, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -129,6 +130,16 @@ class TestFit:
         assert lines[0].startswith(f"invgamma: {estimator.upper()} estimate ")
         assert lines[0].endswith("beta=0.0 is not finite and > 0")
 
+    @pytest.mark.parametrize("estimator", ["ml1", "bl1"])
+    def test_overflowing_sum_inv_exits_4(self, estimator):
+        # The ML1 and BL1 updates take log sum(1/x), which is inf here.
+        res = run_cli("fit", "--estimator", estimator,
+                      stdin="2.83233e-318\n2613.711528902175\n")
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert res.stderr == ("invgamma: sum(1/x) overflows float64, so the "
+                              f"{estimator.upper()} update is undefined\n")
+
     @pytest.mark.parametrize("prior_c", ["0.5", "1"])
     def test_runaway_bl1_prior_exits_4(self, tmp_path, prior_c):
         # With c > b the BL1 update sends alpha to infinity on this sample.
@@ -173,6 +184,55 @@ class TestFit:
         assert res.returncode == 2
 
 
+# The required arguments of each subcommand, and its float flags.
+FLOAT_FLAGS = {
+    "fit": (["--estimator", "mm"],
+            ["--tol", "--prior-a", "--prior-b", "--prior-c", "--prior-d",
+             "--prior-e", "--w1", "--w2"]),
+    "sample": (["--alpha", "1", "--beta", "1", "--n", "1"],
+               ["--alpha", "--beta"]),
+    "kl": (["--p-alpha", "1", "--p-beta", "1", "--q-alpha", "1",
+            "--q-beta", "1"],
+           ["--p-alpha", "--p-beta", "--q-alpha", "--q-beta"]),
+    "curves": (["--alpha", "1", "--beta", "1", "--n", "1", "--out", "c.csv"],
+               ["--alpha", "--beta", "--grid-lo", "--grid-hi", "--prior-d",
+                "--prior-e"]),
+}
+
+
+class TestNegativeFloatFlags:
+    """A negative float is a flag's value in the ``--flag value`` form,
+    in exponent form too."""
+
+    def test_table_lists_every_float_flag(self):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for command, (_, flags) in FLOAT_FLAGS.items():
+            actions = subparsers.choices[command]._actions
+            assert sorted(flags) == sorted(
+                a.option_strings[0] for a in actions if a.type is float)
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, flags) in FLOAT_FLAGS.items()
+        for flag in flags])
+    @pytest.mark.parametrize("text", ["-1e3", "-1E+3", "-1000", "-.1e4"])
+    def test_parses_as_value(self, command, flag, text):
+        required, _ = FLOAT_FLAGS[command]
+        args = cli.build_parser().parse_args([command, *required, flag, text])
+        assert getattr(args, flag.lstrip("-").replace("-", "_")) == -1000.0
+
+    def test_fit_reads_exponent_form(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text(run_cli("sample", "--alpha", "10", "--beta", "25",
+                                "--n", "50", "--seed", "1").stdout)
+        runs = [run_cli("fit", "--estimator", "bl2", *flag,
+                        "--input", str(path))
+                for flag in (["--w1", "-1e3"], ["--w1", "-1000"],
+                             ["--w1=-1e3"])]
+        assert [r.returncode for r in runs] == [0, 0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+
+
 @st.composite
 def positive_samples(draw):
     """Positive float64 samples from subnormal up to 1.7e308, half of them
@@ -205,6 +265,36 @@ class TestFitProperty:
         assert (code, len(lines)) in ((0, 0), (4, 1)), (code, lines)
         if code == 0:
             assert parse_kv(out.getvalue())["n"] == str(len(values))
+
+    @settings(max_examples=150, deadline=None)
+    @given(estimator=st.sampled_from([e.lower() for e in ESTIMATORS]),
+           values=positive_samples(),
+           priors=st.fixed_dictionaries({
+               flag: st.one_of(st.floats(0.0, exclude_min=True,
+                                         allow_infinity=False),
+                               st.floats(allow_nan=False,
+                                         allow_infinity=False))
+               for flag in ("--prior-a", "--prior-b", "--prior-c",
+                            "--prior-d", "--prior-e", "--w1", "--w2")}))
+    @example(estimator="ml1", values=[2.83233e-318, 2613.711528902175],
+             priors={})
+    @example(estimator="bl1", values=[2.83233e-318, 2613.711528902175],
+             priors={})
+    @example(estimator="bl2", values=[1.0, 2.0, 4.0],
+             priors={"--w1": -1e3, "--w2": -1.5e-300})
+    def test_prior_flags_exit_0_2_or_4(self, estimator, values, priors):
+        # Finite priors, half of them drawn positive, in the "--flag value"
+        # form: a bad one exits 2 with one stderr line, as a failed fit
+        # exits 4.
+        flags = [t for flag, v in priors.items() for t in (flag, repr(v))]
+        stdin = io.StringIO("".join(f"{v!r}\n" for v in values))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", stdin), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["fit", "--estimator", estimator, *flags])
+        lines = err.getvalue().splitlines()
+        assert (code, len(lines)) in ((0, 0), (2, 1), (4, 1)), (code, lines)
 
 
 def _sample_lines(n: int, seed: int) -> list[str]:

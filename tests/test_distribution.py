@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaincc
 
+from invgamma import distribution
 from invgamma import (
     InvGammaParams,
     UndefinedMomentError,
@@ -23,6 +24,8 @@ from invgamma import (
     sample,
     variance,
 )
+from invgamma.distribution import _gamma_mt_accept
+from invgamma.specfun import _clog
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -238,6 +241,143 @@ class TestSamplerStream:
         np.testing.assert_array_equal(sample(p, n, rng),
                                       sample_reference(p, n, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _gamma_mt_accept_parent(z, u, d, c):
+    """Marsaglia-Tsang (2000) draws from one block of (normal, uniform)
+    pairs, in pair order: the v > 0 mask, then the squeeze test, then the
+    log test for the pairs the squeeze rejects."""
+    v = 1.0 + c * z
+    if not v.min() > 0.0:  # rare: needs z < -3 sqrt(d)
+        live = v > 0.0
+        z, u, v = z[live], u[live], v[live]
+    v = v * v * v
+    z2 = z * z
+    accept = u < 1.0 - 0.0331 * z2 * z2
+    rest = np.flatnonzero(~accept)
+    if rest.size:
+        vr = v[rest]
+        accept[rest] = (_clog(u[rest])
+                        < 0.5 * z2[rest] + d * (1.0 - vr + _clog(vr)))
+    return d * v[accept]
+
+
+def _mt_constants(d):
+    return d, 1.0 / math.sqrt(9.0 * d)
+
+
+@st.composite
+def mt_blocks(draw):
+    """(z, u, d, c) blocks with the log test's edge cases: v = 1 + c z
+    near 0 (z near -1/c), u near 1, tiny u, |z| up to 1e300 (v³ of inf)
+    and d from 2/3 (alpha <= 1) up to 1e9.  u is never 0, where the
+    reference raises (see ``test_zero_uniform_is_accepted``)."""
+    d, c = _mt_constants(draw(st.one_of(st.floats(2 / 3, 100.0),
+                                        st.floats(100.0, 1e9))))
+    size = draw(st.integers(1, 30))
+    z = st.one_of(st.floats(-8.0, 8.0),
+                  st.floats(0.0, 1e-3).map(lambda t: (t - 1.0) / c),
+                  st.floats(-1e300, 1e300))
+    u = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                  st.floats(1.0 - 1e-9, 1.0, exclude_max=True),
+                  st.floats(5e-324, 1e-300))
+    return (np.array(draw(st.lists(z, min_size=size, max_size=size))),
+            np.array(draw(st.lists(u, min_size=size, max_size=size))), d, c)
+
+
+def boundary_block(d):
+    """Pairs the squeeze rejects whose log u is within an ulp or two of
+    z²/2 + d(1 - v + log v): u is exp of that side and its neighbours."""
+    d, c = _mt_constants(d)
+    zs, us = [], []
+    for z in np.linspace(-2.0, 3.0, 101):
+        t = 1.0 + c * z
+        v = t * t * t
+        rhs = 0.5 * z * z + d * (1.0 - v + math.log(v))
+        u0 = math.exp(rhs)
+        for u in (np.nextafter(u0, 0.0), u0, np.nextafter(u0, 1.0)):
+            if 1.0 - 0.0331 * z ** 4 <= u < 1.0:
+                zs.append(z)
+                us.append(u)
+    return np.array(zs), np.array(us), d, c
+
+
+BOUNDARY_D = (2 / 3, 10.0 - 1 / 3, 1e6 - 1 / 3, 1e9)
+
+
+def log_off_by_ulps(real_log):
+    """``real_log`` moved by -4 to +4 ulp, a step count fixed per input."""
+    def log(x):
+        y = real_log(x)
+        steps = np.asarray(x, dtype=np.float64).view(np.int64) % 9 - 4
+        for i in range(4):
+            y = np.where(steps > i, np.nextafter(y, np.inf), y)
+            y = np.where(steps < -i, np.nextafter(y, -np.inf), y)
+        return y
+    return log
+
+
+class TestLogFilter:
+    """The sampler's log test decides with np.log only where a few ulp of
+    log error cannot change the answer, and with the C log elsewhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(block=mt_blocks())
+    def test_matches_c_log_reference(self, block):
+        with np.errstate(all="ignore"):
+            np.testing.assert_array_equal(_gamma_mt_accept(*block),
+                                          _gamma_mt_accept_parent(*block))
+
+    @pytest.mark.parametrize("d", BOUNDARY_D)
+    def test_boundary_pairs_go_through_c_log(self, monkeypatch, d):
+        z, u, d, c = boundary_block(d)
+        seen = []
+
+        def counting_clog(a):
+            seen.append(a.size)
+            return _clog(a)
+
+        monkeypatch.setattr(distribution, "_clog", counting_clog)
+        got = _gamma_mt_accept(z, u, d, c)
+        want = _gamma_mt_accept_parent(z, u, d, c)
+        np.testing.assert_array_equal(got, want)
+        assert 0 < want.size < z.size  # both answers occur
+        assert seen == [z.size, z.size]  # every pair: its u, then its v
+
+    def test_log_error_cannot_change_stream(self, monkeypatch):
+        off = log_off_by_ulps(np.log)
+        xs = np.linspace(0.01, 3.0, 1000)
+        assert np.count_nonzero(off(xs) != np.log(xs)) > 800
+        calls = []
+
+        def log(x):
+            calls.append(x.size)
+            return off(x)
+
+        monkeypatch.setattr(np, "log", log)
+        for alpha, n, seed in ((0.3, 20_000, 0), (2.5, 20_000, 1),
+                               (10.0, 70_000, 2), (100.0, 20_000, 3),
+                               (1e6, 20_000, 4)):
+            p = InvGammaParams(alpha, 1.0)
+            np.testing.assert_array_equal(
+                sample(p, n, np.random.default_rng(seed)),
+                sample_reference(p, n, np.random.default_rng(seed)))
+        for d in BOUNDARY_D:
+            block = boundary_block(d)
+            np.testing.assert_array_equal(_gamma_mt_accept(*block),
+                                          _gamma_mt_accept_parent(*block))
+        assert calls
+
+    def test_zero_uniform_is_accepted(self):
+        # log 0 = -inf is below any right side; math.log(0) raises.
+        d, c = _mt_constants(10.0 - 1 / 3)
+        z, u = np.array([2.5]), np.array([0.0])  # the squeeze rejects it
+        with np.errstate(divide="ignore"):
+            got = _gamma_mt_accept(z, u, d, c)
+        t = 1.0 + c * 2.5
+        np.testing.assert_array_equal(got, [d * (t * t * t)])
+        with pytest.raises(ValueError):
+            _gamma_mt_accept_parent(z, u, d, c)
 
 
 def pdf_expectation_cdf(p: InvGammaParams, x: float) -> float:
