@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invgamma import digamma, inv_digamma, ln_gamma, specfun, trigamma
@@ -14,6 +14,16 @@ from invgamma.specfun import _ARRAY_OPS, _FLOAT_OPS, _cexp, _clog
 
 EULER_GAMMA = 0.5772156649015329
 LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def libm(f):
+    """``f`` (``math.log`` or ``math.exp``) on each element: the oracles'
+    C library, kept apart from ``specfun._clog`` and ``_cexp`` so that
+    they are not tested against themselves."""
+    return lambda a: np.fromiter(map(f, a.tolist()), np.float64, a.size)
+
+
+libm_log, libm_exp = libm(math.log), libm(math.exp)
 
 
 def digamma_series(x: float, terms: int = 10 ** 6) -> float:
@@ -235,7 +245,7 @@ def _psi_psi1_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         1.0 / 240.0 - r * (1.0 / 132.0 - r * (691.0 / 32760.0 - r * (1.0 / 12.0)))))))
     poly = 1.0 / 6.0 - r * (1.0 / 30.0 - r * (1.0 / 42.0 - r * (
         1.0 / 30.0 - r * (5.0 / 66.0 - r * (691.0 / 2730.0 - r * (7.0 / 6.0))))))
-    psi = acc_d + _clog(x) - 0.5 / x - tail
+    psi = acc_d + libm_log(x) - 0.5 / x - tail
     psi1 = acc_t + 1.0 / x + 0.5 * r + poly * r / x
     return psi, psi1
 
@@ -246,7 +256,7 @@ def _inv_digamma_array(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     upper = y >= -2.22
     x = np.empty_like(y)
-    x[upper] = _cexp(y[upper]) + 0.5
+    x[upper] = libm_exp(y[upper]) + 0.5
     x[~upper] = -1.0 / (y[~upper] + EULER_GAMMA)
     tol = 1e-12 * np.maximum(1.0, np.abs(y))
     out = np.full_like(y, math.nan)
@@ -354,3 +364,47 @@ class TestArrayKernels:
 
     def test_empty(self):
         assert specfun._inv_digamma_array(np.empty(0)).shape == (0,)
+
+
+@st.composite
+def float_arrays(draw, elements):
+    """1-d arrays of ``elements``: up to 40 drawn values, repeated to
+    more than one 65536-element block at times, and at times on a
+    negative stride."""
+    a = np.array(draw(st.lists(elements, max_size=40)), dtype=np.float64)
+    if a.size and draw(st.booleans()):
+        a = np.resize(a, draw(st.sampled_from([65537, 70001])))
+    return a[::-1].copy()[::-1] if draw(st.booleans()) else a
+
+
+class TestCLibraryLogExp:
+    """The array log and exp give ``math.log`` and ``math.exp``'s bits
+    on every element, on whichever path the import-time probe chose."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=float_arrays(st.floats(0.0, math.inf, exclude_min=True)))
+    @example(a=np.array([]))
+    @example(a=np.array([1.0]))
+    @example(a=np.array([5e-324, 2.2250738585072009e-308, 1.0,
+                         sys.float_info.max]))
+    def test_log_matches_math_log(self, a):
+        assert _clog(a).tobytes() == libm_log(a).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=float_arrays(st.floats(-math.inf, LOG_DBL_MAX)))
+    @example(a=np.array([]))
+    @example(a=np.array([0.0]))
+    @example(a=np.array([-745.2, -745.0, -708.5, 1.0, LOG_DBL_MAX]))
+    def test_exp_matches_math_exp(self, a):
+        assert _cexp(a).tobytes() == libm_exp(a).tobytes()
+
+    @pytest.mark.parametrize("f, ufunc, probe", [
+        (math.log, np.log, specfun._LOG_PROBE),
+        (math.exp, np.exp, specfun._EXP_PROBE)])
+    def test_falls_back_when_a_probe_is_off_by_an_ulp(self, f, ufunc, probe):
+        fast, path = specfun._elementwise(f, ufunc, probe)
+        assert path == "reversed-ufunc"
+        off = lambda a: np.nextafter(ufunc(a), np.inf)
+        slow, path = specfun._elementwise(f, off, probe)
+        assert path == "fromiter"
+        assert slow(probe).tobytes() == libm(f)(probe).tobytes()
