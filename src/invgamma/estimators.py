@@ -35,6 +35,7 @@ from .distribution import InvGammaParams
 from .specfun import (
     _ARRAY_OPS,
     _FLOAT_OPS,
+    _clog,
     _inv_digamma,
     _inv_digamma_array,
     _psi_psi1,
@@ -182,9 +183,10 @@ class FitReport:
 def compute_stats(x) -> SufficientStats:
     """Reduce a positive sample to its sufficient statistics.
 
-    Variance is the two-pass n-1 estimator; NaN when n < 2.  Values near
-    the limits of float64 can overflow a statistic to inf without a
-    warning; the fitters then raise ``DegenerateSampleError``.
+    Variance is the two-pass n-1 estimator; NaN when n < 2.  The logs are
+    the C library's, so ``sum_log`` does not depend on the host's SIMD.
+    Values near the limits of float64 can overflow a statistic to inf
+    without a warning; the fitters then raise ``DegenerateSampleError``.
     """
     arr = np.asarray(x, dtype=np.float64).ravel()
     if arr.size < 1:
@@ -200,7 +202,7 @@ def compute_stats(x) -> SufficientStats:
         else:
             var = math.nan
         sum_inv = float(np.sum(1.0 / arr))
-        sum_log = float(np.sum(np.log(arr)))
+        sum_log = float(np.sum(_clog(arr)))
     return SufficientStats(n, mu, var, sum_inv, sum_log, sum_log / n)
 
 
