@@ -92,8 +92,8 @@ class ScaleGammaPrior:
     e: float = 0.01
 
     def __post_init__(self):
-        if not (self.d > 0.0 and self.e > 0.0):
-            raise ValueError("scale prior requires d > 0 and e > 0")
+        if not (0.0 < self.d < math.inf and 0.0 < self.e < math.inf):
+            raise ValueError("scale prior requires finite d > 0 and e > 0")
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ class ShapePriorABC:
     c: float = 0.01
 
     def __post_init__(self):
-        if not (math.isfinite(self.log_a) and self.b > 0.0 and self.c > 0.0):
+        if not (math.isfinite(self.log_a) and 0.0 < self.b < math.inf
+                and 0.0 < self.c < math.inf):
             raise ValueError("shape prior requires finite log_a, b > 0, c > 0")
 
     @classmethod
@@ -401,10 +402,6 @@ _ESTIMATORS = {
                       _bl2_posterior),
 }
 ESTIMATORS = tuple(_ESTIMATORS)
-# Each step takes ψ⁻¹ of a sum holding -log sum(1/x).  An inf sum(1/x)
-# makes that ψ⁻¹(-inf) = 0, where its Newton update divides by zero; ML2
-# and BL2 run on and give beta = 0.
-_NEEDS_FINITE_SUM_INV = ("ML1", "BL1")
 
 
 def _spec(name: str) -> _Estimator:
@@ -421,11 +418,13 @@ def _fit(name: str, stats: SufficientStats,
     alpha = _mm_alpha(stats)
     it, res, conv, posterior = 0, 0.0, True, None
     op = _ops(batched=False)
-    if name in _NEEDS_FINITE_SUM_INV and stats.sum_inv == math.inf:
-        raise DegenerateSampleError(
-            f"sum(1/x) overflows float64, so the {name} update is undefined")
     if est.step is not None:
         consts = est.constants(op, stats, options)
+        # Only the log of sum(1/x), or of BL1's e + sum(1/x), can overflow.
+        if not all(map(math.isfinite, consts)):
+            stat = "sum(1/x)" if stats.sum_inv == math.inf else "e + sum(1/x)"
+            raise DegenerateSampleError(
+                f"{stat} overflows float64, so the {name} update is undefined")
         alpha, prev, it, res, conv = _fixed_point(est.step, op, alpha, consts,
                                                   options.conv)
         if est.posterior is not None:

@@ -118,27 +118,24 @@ class TestFit:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("invgamma: "), lines
 
-    @pytest.mark.parametrize("estimator", ["ml2", "bl2"])
-    def test_non_finite_estimate_exits_4(self, estimator):
-        # sum(1/x) overflows to inf, so beta_hat underflows to 0.
-        res = run_cli("fit", "--estimator", estimator,
-                      stdin="2.83233e-318\n2613.711528902175\n")
-        assert res.returncode == 4
-        assert res.stdout == ""
-        lines = res.stderr.splitlines()
-        assert len(lines) == 1, lines
-        assert lines[0].startswith(f"invgamma: {estimator.upper()} estimate ")
-        assert lines[0].endswith("beta=0.0 is not finite and > 0")
-
-    @pytest.mark.parametrize("estimator", ["ml1", "bl1"])
+    @pytest.mark.parametrize("estimator", ["ml1", "ml2", "bl1", "bl2"])
     def test_overflowing_sum_inv_exits_4(self, estimator):
-        # The ML1 and BL1 updates take log sum(1/x), which is inf here.
+        # Each update takes log sum(1/x), which is inf here.
         res = run_cli("fit", "--estimator", estimator,
                       stdin="2.83233e-318\n2613.711528902175\n")
         assert res.returncode == 4
         assert res.stdout == ""
         assert res.stderr == ("invgamma: sum(1/x) overflows float64, so the "
                               f"{estimator.upper()} update is undefined\n")
+
+    def test_overflowing_prior_sum_exits_4(self):
+        # sum(1/x) is finite, but the BL1 update takes log(e + sum(1/x)).
+        res = run_cli("fit", "--estimator", "bl1", "--prior-e", "1.7e308",
+                      stdin="1e-308\n3e-8\n2e-3\n")
+        assert res.returncode == 4
+        assert res.stdout == ""
+        assert res.stderr == ("invgamma: e + sum(1/x) overflows float64, so "
+                              "the BL1 update is undefined\n")
 
     @pytest.mark.parametrize("prior_c", ["0.5", "1"])
     def test_runaway_bl1_prior_exits_4(self, tmp_path, prior_c):

@@ -552,7 +552,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScaleGammaPrior(0.0, 1.0)
         with pytest.raises(ValueError):
+            ScaleGammaPrior(1.0, math.inf)
+        with pytest.raises(ValueError):
             ShapePriorABC(0.0, -1.0, 1.0)
+        with pytest.raises(ValueError):
+            ShapePriorABC(0.0, 1.0, math.inf)
         with pytest.raises(ValueError):
             PolyShapePrior(math.nan, 0.0, 0.0)
 
