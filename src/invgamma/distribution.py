@@ -75,8 +75,8 @@ def _gamma_mt_accept(z, u, d, c):
     log test log u < z²/2 + d(1 - v + log v) for the live pairs the
     squeeze rejects, with the C library's log, as the scalar loop decides
     it.  So the stream is the same on every host.  A uniform of exactly 0
-    is accepted (log 0 = -inf), where ``math.log`` raised.
-    """
+    is accepted, as log 0 = -inf, unless ``specfun.LOG_PATH`` fell back to
+    ``math.log``, which raises there as the scalar loop does."""
     v = 1.0 + c * z
     live = v > 0.0
     v = v * v * v

@@ -8,16 +8,9 @@ threshold.  ``inv_digamma`` is a guarded Newton iteration.
 
 Each kernel is written once over an ``op`` table: ``_FLOAT_OPS`` on Python
 floats, or ``_ARRAY_OPS`` elementwise on float64 arrays for the batched
-fitters, with C-library logs and exps so that each element gets the bits
-of the float call.  numpy's contiguous log and exp run SIMD loops whose
-results can differ from the C library's by an ulp, and which inputs differ
-depends on the host's CPU.  Called on a reversed view (a negative stride),
-numpy 2.x calls the C library per element instead, in C.  That rests on
-numpy's dispatch, not on a documented API, so at import the reversed call
-is checked bit for bit against ``math.log`` and ``math.exp`` on a probe
-grid, and each element goes through ``math`` if it differs.  ``LOG_PATH``
-names the path taken.  The ``_``-prefixed kernels skip argument
-validation; the public wrappers validate and raise.
+fitters, with the C library's log and exp (see ``_elementwise``) so that
+each element gets the bits of the float call.  The ``_``-prefixed kernels
+skip argument validation; the public wrappers validate and raise.
 """
 
 import math
@@ -33,11 +26,14 @@ _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
 
 
 def _elementwise(f, ufunc, probe):
-    """``f`` from the C library on each element of a 1-d array, and the
-    name of the path: ``ufunc`` with the input on a negative stride if
-    that gives ``f``'s bits on ``probe``, else ``f`` per element through
-    ``np.fromiter``.  (Input and output both reversed would be contiguous
-    again, so an input that is already reversed is passed as it is.)"""
+    """``f`` on each element of a 1-d array, with the C library's bits,
+    and the name of the path.  numpy's contiguous log and exp are SIMD
+    loops that can differ from the C library by an ulp, on inputs that
+    depend on the CPU; on a negative input stride numpy 2.x calls the C
+    library per element.  That is numpy's dispatch, not a documented API,
+    so ``ufunc`` is called so only if it gives ``f``'s bits on ``probe``;
+    else ``f`` runs per element.  A reversed input is passed as it is:
+    reversing it and the output would make a contiguous loop again."""
     fast = lambda a: ufunc(a) if a.strides[0] < 0 else ufunc(a[::-1])[::-1]
     slow = lambda a: np.fromiter(map(f, a.tolist()), np.float64, a.size)
     if fast(probe).tobytes() == slow(probe).tobytes():
@@ -45,15 +41,12 @@ def _elementwise(f, ufunc, probe):
     return slow, "fromiter"
 
 
-# Grids on which a host's contiguous SIMD calls differ from the C library
-# somewhere: 47 logs and 274 exps on an AVX512 host.  Checking both takes
-# about a millisecond.
+# Grids where a contiguous SIMD call differs from the C library somewhere
+# (47 logs and 274 exps on an AVX512 host); checked in about 1 ms.
 _LOG_PROBE, _EXP_PROBE = 0.5 + np.arange(8192) / 8192, np.arange(-2980, 2839) / 4
-(_clog, _log_path), (_cexp, _exp_path) = (
-    _elementwise(math.log, np.log, _LOG_PROBE),
-    _elementwise(math.exp, np.exp, _EXP_PROBE))
-LOG_PATH = (_log_path if _log_path == _exp_path
-            else f"log {_log_path}, exp {_exp_path}")
+_clog, _log_path = _elementwise(math.log, np.log, _LOG_PROBE)
+_cexp, _exp_path = _elementwise(math.exp, np.exp, _EXP_PROBE)
+LOG_PATH = f"log {_log_path}, exp {_exp_path}"
 
 # ``div`` gives IEEE's a * inf at b == +0 on floats too, where Python
 # raises ZeroDivisionError.

@@ -368,18 +368,24 @@ class TestArrayKernels:
 
 @st.composite
 def float_arrays(draw, elements):
-    """1-d arrays of ``elements``: up to 40 drawn values, repeated to
-    more than one 65536-element block at times, and at times on a
-    negative stride."""
+    """1-d arrays of ``elements``: up to 40 drawn values, at times
+    repeated to more than one 65536-element block."""
     a = np.array(draw(st.lists(elements, max_size=40)), dtype=np.float64)
     if a.size and draw(st.booleans()):
         a = np.resize(a, draw(st.sampled_from([65537, 70001])))
-    return a[::-1].copy()[::-1] if draw(st.booleans()) else a
+    return a
+
+
+def assert_libm_bits(kernel, f, a):
+    # On the array and on a reversed copy seen through a negative stride.
+    for x in (a, a[::-1].copy()[::-1]):
+        assert kernel(x).tobytes() == libm(f)(x).tobytes()
 
 
 class TestCLibraryLogExp:
     """The array log and exp give ``math.log`` and ``math.exp``'s bits
-    on every element, on whichever path the import-time probe chose."""
+    on every element, on whichever path the import-time probe chose.  The
+    probe grids hold inputs where a contiguous SIMD call is off."""
 
     @settings(max_examples=150, deadline=None)
     @given(a=float_arrays(st.floats(0.0, math.inf, exclude_min=True)))
@@ -387,23 +393,23 @@ class TestCLibraryLogExp:
     @example(a=np.array([1.0]))
     @example(a=np.array([5e-324, 2.2250738585072009e-308, 1.0,
                          sys.float_info.max]))
+    @example(a=specfun._LOG_PROBE)
     def test_log_matches_math_log(self, a):
-        assert _clog(a).tobytes() == libm_log(a).tobytes()
+        assert_libm_bits(_clog, math.log, a)
 
     @settings(max_examples=150, deadline=None)
     @given(a=float_arrays(st.floats(-math.inf, LOG_DBL_MAX)))
     @example(a=np.array([]))
     @example(a=np.array([0.0]))
     @example(a=np.array([-745.2, -745.0, -708.5, 1.0, LOG_DBL_MAX]))
+    @example(a=specfun._EXP_PROBE)
     def test_exp_matches_math_exp(self, a):
-        assert _cexp(a).tobytes() == libm_exp(a).tobytes()
+        assert_libm_bits(_cexp, math.exp, a)
 
     @pytest.mark.parametrize("f, ufunc, probe", [
         (math.log, np.log, specfun._LOG_PROBE),
-        (math.exp, np.exp, specfun._EXP_PROBE)])
+        (math.exp, np.exp, specfun._EXP_PROBE)], ids=["log", "exp"])
     def test_falls_back_when_a_probe_is_off_by_an_ulp(self, f, ufunc, probe):
-        fast, path = specfun._elementwise(f, ufunc, probe)
-        assert path == "reversed-ufunc"
         off = lambda a: np.nextafter(ufunc(a), np.inf)
         slow, path = specfun._elementwise(f, off, probe)
         assert path == "fromiter"
