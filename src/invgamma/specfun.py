@@ -31,8 +31,8 @@ def _elementwise(f, ufunc, probe):
     loops that can differ from the C library by an ulp, on inputs that
     depend on the CPU; on a negative input stride numpy 2.x calls the C
     library per element.  That is numpy's dispatch, not a documented API,
-    so ``ufunc`` is called so only if it gives ``f``'s bits on ``probe``;
-    else ``f`` runs per element.  A reversed input is passed as it is:
+    so that call is used only if it gives ``f``'s bits on ``probe``; else
+    ``f`` runs per element.  A reversed input is passed as it is:
     reversing it and the output would make a contiguous loop again."""
     fast = lambda a: ufunc(a) if a.strides[0] < 0 else ufunc(a[::-1])[::-1]
     slow = lambda a: np.fromiter(map(f, a.tolist()), np.float64, a.size)
