@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _clog, digamma
+from .specfun import _ARRAY_OPS, _FLOAT_OPS, _clog, _psi_psi1, digamma
 
 
 class UndefinedMomentError(ValueError):
@@ -75,8 +75,7 @@ def _gamma_mt_accept(z, u, d, c):
     log test log u < z²/2 + d(1 - v + log v) for the live pairs the
     squeeze rejects, with the C library's log, as the scalar loop decides
     it.  So the stream is the same on every host.  A uniform of exactly 0
-    is accepted, as log 0 = -inf, unless ``specfun.LOG_PATH`` fell back to
-    ``math.log``, which raises there as the scalar loop does."""
+    is accepted, as log 0 = -inf."""
     v = 1.0 + c * z
     live = v > 0.0
     v = v * v * v
@@ -147,22 +146,24 @@ def expect_log_pdf(p: InvGammaParams) -> float:
             - math.log(p.beta) - math.lgamma(p.alpha))
 
 
-def kl_divergence(p: InvGammaParams, q: InvGammaParams) -> float:
+def kl_divergence(p, q):
     """KL(p || q) between two Inverse Gamma distributions, in closed form.
 
-    Evaluated entirely in log space so large shapes and scales cannot
-    overflow.  Exact zero for p == q; rounding slack down to -1e-12 is
-    clamped to zero, anything more negative is a bug and raises.
+    ``p`` and ``q`` are ``InvGammaParams``, scored as floats, or both hold
+    float64 arrays in ``alpha`` and ``beta`` (a ``BatchFit``, say), scored
+    per element with the same bits; a NaN estimate scores NaN.  Evaluated
+    entirely in log space so large shapes and scales cannot overflow.
+    Exact zero for p == q; rounding slack down to -1e-12 is clamped to
+    zero, anything more negative is a bug and raises.
     """
+    op = _ARRAY_OPS if isinstance(p.alpha, np.ndarray) else _FLOAT_OPS
     a, b = p.alpha, p.beta
     ah, bh = q.alpha, q.beta
-    val = ((a - ah) * digamma(a)
-           + ah * (math.log(b) - math.log(bh))
-           + math.lgamma(ah) - math.lgamma(a)
+    val = ((a - ah) * _psi_psi1(op, a)[0]
+           + ah * (op.log(b) - op.log(bh))
+           + op.lgamma(ah) - op.lgamma(a)
            + a * (bh / b) - a)
-    if val < 0.0:
-        if val < -1e-12:
-            raise ArithmeticError(
-                f"KL divergence evaluated to {val}, below rounding slack")
-        return 0.0
-    return val
+    if op.any(val < -1e-12):
+        raise ArithmeticError(
+            f"KL divergence evaluated to {np.nanmin(val)}, below rounding slack")
+    return op.where(val < 0.0, 0.0, val)

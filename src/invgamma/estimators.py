@@ -524,10 +524,9 @@ def bl1_log_posterior_curve(stats: SufficientStats,
             beta_hat = scale_prior.d / scale_prior.e
         else:
             beta_hat = fit_bl1(stats, shape_prior, scale_prior).params.beta
-    lgam = np.array([math.lgamma(a) for a in grid])
     return ((-grid - 1.0) * log_a_hat
             + grid * c_hat * math.log(beta_hat)
-            - b_hat * lgam)
+            - b_hat * _ARRAY_OPS.lgamma(grid))
 
 
 # ------------------------------------------------------------ batched fitters

@@ -8,7 +8,9 @@ identical configs produce identical files (runtime column excepted).
 
 Sweeps run batched: each estimator fits all simulations of a size in one
 ``fit_batch`` call, bit-identical to the scalar fitters, and ``runtime_s``
-is that call's wall time divided by the number of simulations.  Where the
+is that call's wall time divided by the number of simulations.  That
+``BatchFit`` is scored by one array ``kl_divergence`` call against the
+size's truths, and its records are built from those columns.  Where the
 host has more than one CPU, the ``fit_batch`` calls run in forked worker
 processes while this process draws the next size and scores the last
 one; every element's fit is independent of its batch companions, so the
@@ -22,13 +24,14 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
 from .distribution import InvGammaParams, kl_divergence, sample
 from .estimators import (  # fit_mm .. fit_bl2: see fit_by_name
     ESTIMATORS,
-    BatchFit,
     FitOptions,
     FitReport,
     ScaleGammaPrior,
@@ -56,6 +59,11 @@ BIAS_CSV_HEADER = ("N,estimator,n_used,n_failed,mean_bias_alpha,std_bias_alpha,"
                    "mean_bias_beta,std_bias_beta")
 CURVES_CSV_HEADER = "variant,alpha,log_prior,log_posterior,alpha_true,alpha_hat"
 
+# Truths are drawn uniformly from this box.  The shape is > 2, so the
+# moment initialization has a finite variance for every truth.
+ALPHA_RANGE = (2.5, 15.0)
+BETA_RANGE = (1.0, 50.0)
+
 DEFAULT_CURVE_VARIANTS = (
     ShapePriorABC.with_a(1.0, 0.01, 0.01),
     ShapePriorABC.with_a(1.0, 1.0, 1.0),
@@ -71,8 +79,6 @@ class ExperimentConfig:
     base_seed: int = 0
     estimators: tuple[str, ...] = ESTIMATORS
     fit: FitOptions = FitOptions()
-    alpha_range: tuple[float, float] = (2.5, 15.0)
-    beta_range: tuple[float, float] = (1.0, 50.0)
 
     def __post_init__(self):
         if self.sims_per_size < 1:
@@ -86,13 +92,6 @@ class ExperimentConfig:
                     f"duplicate {name}: {','.join(map(str, values))}")
         if not all(n >= 1 for n in self.sizes):
             raise ValueError("sizes must be >= 1")
-        for name, (lo, hi) in (("alpha_range", self.alpha_range),
-                               ("beta_range", self.beta_range)):
-            if not (0.0 < lo < hi):
-                raise ValueError(f"{name} must satisfy 0 < low < high")
-        # Moment initialization needs a finite variance for every truth.
-        if self.alpha_range[0] <= 2.0:
-            raise ValueError("alpha_range low bound must be > 2")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
@@ -149,29 +148,8 @@ def fit_by_name(name: str, stats: SufficientStats,
 def _draw_stats(cfg: ExperimentConfig, size: int, sim: int):
     """Truth and sample statistics of one simulation, from its own seed."""
     rng = child_rng(cfg.base_seed, size, sim)
-    alpha_true = rng.uniform(*cfg.alpha_range)
-    beta_true = rng.uniform(*cfg.beta_range)
-    truth = InvGammaParams(alpha_true, beta_true)
-    return truth, compute_stats(sample(truth, size, rng))
-
-
-def _fit_records(name: str, size: int, truths, fit: BatchFit,
-                 runtime: float) -> list[SimulationRecord]:
-    records = []
-    for sim, truth in enumerate(truths):
-        if fit.failed[sim]:
-            ah = bh = kl = ba = bb = math.nan
-            iterations, converged = 0, False
-        else:
-            ah, bh = float(fit.alpha[sim]), float(fit.beta[sim])
-            kl = kl_divergence(truth, InvGammaParams(ah, bh))
-            ba, bb = ah - truth.alpha, bh - truth.beta
-            iterations = int(fit.iterations[sim])
-            converged = bool(fit.converged[sim])
-        records.append(SimulationRecord(size, sim, name, truth.alpha,
-                                        truth.beta, ah, bh, kl, ba, bb,
-                                        iterations, converged, runtime))
-    return records
+    truth = InvGammaParams(rng.uniform(*ALPHA_RANGE), rng.uniform(*BETA_RANGE))
+    return truth.alpha, truth.beta, compute_stats(sample(truth, size, rng))
 
 
 def _timed_fit(name: str, batch: StatsBatch, options: FitOptions):
@@ -196,12 +174,20 @@ def _run_inline(fn, *args):
     return lambda: value
 
 
-def _size_records(size: int, truths, tasks) -> list[SimulationRecord]:
-    records = []
+def _size_records(size: int, truth, tasks) -> list[SimulationRecord]:
+    """Records of one size, built from columns: the truths, each
+    estimator's ``BatchFit`` (NaN, 0 and False on failed rows), one KL
+    call and the two bias differences."""
+    records, sims = [], range(truth.alpha.size)
+    truth_cols = truth.alpha.tolist(), truth.beta.tolist()
     for name, result in tasks:
         fit, seconds = result()
-        records.extend(_fit_records(name, size, truths, fit,
-                                    seconds / len(truths)))
+        cols = (fit.alpha, fit.beta, kl_divergence(truth, fit),
+                fit.alpha - truth.alpha, fit.beta - truth.beta,
+                fit.iterations, fit.converged)
+        records += map(SimulationRecord, repeat(size), sims, repeat(name),
+                       *truth_cols, *(c.tolist() for c in cols),
+                       repeat(seconds / len(sims)))
     return records
 
 
@@ -211,12 +197,13 @@ def _sweep(cfg: ExperimentConfig, submit) -> list[SimulationRecord]:
     the next size is drawn and submitted."""
     records, pending = [], []
     for size in cfg.sizes:
-        drawn = [_draw_stats(cfg, size, sim)
-                 for sim in range(cfg.sims_per_size)]
-        batch = StatsBatch.pack(stats for _, stats in drawn)
+        alphas, betas, stats = zip(*(_draw_stats(cfg, size, sim)
+                                     for sim in range(cfg.sims_per_size)))
+        batch = StatsBatch.pack(stats)
         tasks = [(name, submit(_timed_fit, name, batch, cfg.fit))
                  for name in cfg.estimators]
-        pending.append((size, [truth for truth, _ in drawn], tasks))
+        truth = SimpleNamespace(alpha=np.array(alphas), beta=np.array(betas))
+        pending.append((size, truth, tasks))
         if len(pending) == 2:
             records.extend(_size_records(*pending.pop(0)))
     for item in pending:

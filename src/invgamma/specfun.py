@@ -32,10 +32,17 @@ def _elementwise(f, ufunc, probe):
     depend on the CPU; on a negative input stride numpy 2.x calls the C
     library per element.  That is numpy's dispatch, not a documented API,
     so that call is used only if it gives ``f``'s bits on ``probe``; else
-    ``f`` runs per element.  A reversed input is passed as it is:
-    reversing it and the output would make a contiguous loop again."""
+    ``f`` runs per element, and the ufunc where ``f`` raises (log 0 is
+    -inf, and NaN below 0, on both paths).  A reversed input is passed as
+    it is: reversing it and the output would make a contiguous loop again."""
+    def one(x):
+        try:
+            return f(x)
+        except (ValueError, OverflowError):
+            return ufunc(x)
+
     fast = lambda a: ufunc(a) if a.strides[0] < 0 else ufunc(a[::-1])[::-1]
-    slow = lambda a: np.fromiter(map(f, a.tolist()), np.float64, a.size)
+    slow = lambda a: np.fromiter(map(one, a.tolist()), np.float64, a.size)
     if fast(probe).tobytes() == slow(probe).tobytes():
         return fast, "reversed-ufunc"
     return slow, "fromiter"
@@ -49,13 +56,15 @@ _cexp, _exp_path = _elementwise(math.exp, np.exp, _EXP_PROBE)
 LOG_PATH = f"log {_log_path}, exp {_exp_path}"
 
 # ``div`` gives IEEE's a * inf at b == +0 on floats too, where Python
-# raises ZeroDivisionError.
+# raises ZeroDivisionError.  numpy has no lgamma ufunc, so the array
+# ``lgamma`` calls the C library's per element.
 _FLOAT_OPS = SimpleNamespace(
     log=math.log, exp=math.exp, sqrt=math.sqrt, isfinite=math.isfinite,
-    any=bool, where=lambda c, a, b: a if c else b,
+    lgamma=math.lgamma, any=bool, where=lambda c, a, b: a if c else b,
     div=lambda a, b: a / b if b else a * math.inf)
 _ARRAY_OPS = SimpleNamespace(
     log=_clog, exp=_cexp, sqrt=np.sqrt, isfinite=np.isfinite,
+    lgamma=lambda a: np.fromiter(map(math.lgamma, a.tolist()), np.float64, a.size),
     any=np.ndarray.any, where=np.where, div=np.divide)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaincc
 
-from invgamma import specfun
+from invgamma import distribution, specfun
 from invgamma import (
     InvGammaParams,
     UndefinedMomentError,
@@ -369,18 +370,23 @@ class TestLogFilter:
                                           _gamma_mt_accept_parent(*block))
         assert not calls
 
-    @pytest.mark.skipif("log fromiter" in specfun.LOG_PATH,
-                        reason="math.log(0) raises on the fromiter path")
-    def test_zero_uniform_is_accepted(self):
-        # log 0 = -inf is below any right side, and no warning escapes;
+    def test_zero_uniform_is_accepted(self, monkeypatch):
+        # log 0 = -inf is below any right side, and no warning escapes, on
+        # the path the probe chose and on the fromiter fallback (forced by
+        # a ufunc an ulp off, whose value it takes at 0: -DBL_MAX);
         # math.log(0), in the scalar loop, raises.
+        off = lambda a: np.nextafter(np.log(a), np.inf)
+        fallback, path = specfun._elementwise(math.log, off, specfun._LOG_PROBE)
+        assert path == "fromiter"
         d, c = _mt_constants(10.0 - 1 / 3)
         z, u = np.array([2.5]), np.array([0.0])  # the squeeze rejects it
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _gamma_mt_accept(z, u, d, c)
         t = 1.0 + c * 2.5
-        np.testing.assert_array_equal(got, [d * (t * t * t)])
+        for clog in (specfun._clog, fallback):
+            monkeypatch.setattr(distribution, "_clog", clog)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _gamma_mt_accept(z, u, d, c)
+            np.testing.assert_array_equal(got, [d * (t * t * t)])
         with pytest.raises(ValueError):
             _gamma_mt_accept_parent(z, u, d, c)
 
@@ -458,3 +464,86 @@ class TestKlDivergence:
     def test_no_overflow_for_large_parameters(self):
         v = kl_divergence(InvGammaParams(300, 1e6), InvGammaParams(5, 1e-3))
         assert math.isfinite(v) and v > 0
+
+
+# p = (a, b) and q = (ah, bh) where the float KL rounds to [-1e-12, 0)
+# (clamped to 0.0) and below -1e-12 (raises).
+CLAMPED_ROW = (1.3558794678123514, 75.79166280107815,
+               1.3558794678123516, 75.7916628010782)
+NEGATIVE_ROW = (1e13, 1.0, 1e13, 1.0 - 2.0 ** -53)
+
+
+def float_kl(a, b, ah, bh):
+    """The float KL of one row: NaN for a NaN estimate, None where the
+    float call raises ArithmeticError."""
+    if math.isnan(ah) or math.isnan(bh):
+        return math.nan
+    try:
+        return kl_divergence(InvGammaParams(a, b), InvGammaParams(ah, bh))
+    except ArithmeticError:
+        return None
+
+
+def params_arrays(alpha, beta):
+    return SimpleNamespace(alpha=np.asarray(alpha, dtype=np.float64),
+                           beta=np.asarray(beta, dtype=np.float64))
+
+
+@st.composite
+def kl_rows(draw):
+    """(a, b, ah, bh) rows and an array length: the estimate is free, equal
+    to the truth, a few ulps from it (where the clamp acts) or NaN in one
+    or both fields (a failed fit).  The rows repeat to the length, at times
+    past one 65536-element block."""
+    shape, scale = st.floats(1e-3, 1e5), st.floats(1e-6, 1e6)
+    ulps = st.integers(-3, 3).map(lambda k: 1.0 + k * 2.0 ** -52)
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        a, b = draw(shape), draw(scale)
+        ah, bh = draw(st.one_of(
+            st.tuples(shape, scale), st.just((a, b)),
+            st.tuples(ulps.map(lambda t: a * t), ulps.map(lambda t: b * t)),
+            st.sampled_from([(math.nan, math.nan), (math.nan, b), (a, math.nan)])))
+        rows.append((a, b, ah, bh))
+    n = draw(st.sampled_from([len(rows), 65537])) if rows else 0
+    return np.array(rows).reshape(-1, 4), n
+
+
+class TestKlArrays:
+    """KL of float64 arrays gives each element the float call's bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=kl_rows())
+    @example(batch=(np.empty((0, 4)), 0))
+    @example(batch=(np.array([[3.0, 2.0, 3.0, 2.0]]), 1))
+    @example(batch=(np.array([CLAMPED_ROW, (3.0, 2.0, math.nan, math.nan)]),
+                    65537))
+    @example(batch=(np.column_stack([  # scales where a SIMD log is off
+        np.ones(8192), specfun._LOG_PROBE, np.ones(8192), np.ones(8192)]), 8192))
+    def test_matches_float_kl(self, batch):
+        rows, n = batch
+        want = [float_kl(*row) for row in rows.tolist()]
+        a, b, ah, bh = (np.resize(col, n) for col in rows.T)
+        if None in want:
+            with pytest.raises(ArithmeticError, match="below rounding slack"):
+                kl_divergence(params_arrays(a, b), params_arrays(ah, bh))
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NaN estimates warn nothing
+            got = kl_divergence(params_arrays(a, b), params_arrays(ah, bh))
+        want = np.resize(np.array(want, dtype=np.float64), n)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert np.all(got[(a == ah) & (b == bh)] == 0.0)
+
+    def test_clamp_and_raise(self):
+        a, b, ah, bh = np.transpose([CLAMPED_ROW, (3.0, 2.0, 3.0, 2.0)])
+        assert kl_divergence(params_arrays(a, b),
+                             params_arrays(ah, bh)).tolist() == [0.0, 0.0]
+        a, b, ah, bh = np.transpose([(3.0, 2.0, 3.0, 4.0), NEGATIVE_ROW])
+        with pytest.raises(ArithmeticError, match="below rounding slack"):
+            kl_divergence(params_arrays(a, b), params_arrays(ah, bh))
+        with pytest.raises(ArithmeticError, match="below rounding slack"):
+            kl_divergence(InvGammaParams(*NEGATIVE_ROW[:2]),
+                          InvGammaParams(*NEGATIVE_ROW[2:]))

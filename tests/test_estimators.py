@@ -370,6 +370,20 @@ class TestBl1PosteriorCurve:
             bl1_log_posterior_curve(demo_stats, ShapePriorABC(),
                                     ScaleGammaPrior(), [1.0, -2.0])
 
+    def test_matches_lgamma_comprehension_bitwise(self, demo_stats):
+        # Reference: the curve with a math.lgamma list comprehension.
+        grid = np.concatenate([np.linspace(0.5, 20.0, 181),
+                               np.geomspace(1e-3, 1e6, 97)])
+        sp, scale = ShapePriorABC.with_a(2.0, 0.5, 0.5), ScaleGammaPrior()
+        beta_hat = 2.5
+        for stats in (SufficientStats.empty(), demo_stats):
+            curve = bl1_log_posterior_curve(stats, sp, scale, grid,
+                                            beta_hat=beta_hat)
+            want = ((-grid - 1.0) * (sp.log_a + stats.sum_log)
+                    + grid * (sp.c + stats.n) * math.log(beta_hat)
+                    - (sp.b + stats.n) * np.array([math.lgamma(a) for a in grid]))
+            assert curve.tobytes() == want.tobytes()
+
 
 class TestBl2:
     def test_flat_prior_equals_ml2(self):

@@ -149,13 +149,9 @@ class TestRecords:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(alpha_range=(1.5, 15.0))
-        with pytest.raises(ValueError):
             ExperimentConfig(sims_per_size=0)
         with pytest.raises(ValueError):
             ExperimentConfig(estimators=("MM", "XX"))
-        with pytest.raises(ValueError):
-            ExperimentConfig(beta_range=(3.0, 2.0))
 
     @pytest.mark.parametrize("names, msg", [
         ((), "estimators must not be empty"),

@@ -406,11 +406,23 @@ class TestCLibraryLogExp:
     def test_exp_matches_math_exp(self, a):
         assert_libm_bits(_cexp, math.exp, a)
 
-    @pytest.mark.parametrize("f, ufunc, probe", [
-        (math.log, np.log, specfun._LOG_PROBE),
-        (math.exp, np.exp, specfun._EXP_PROBE)], ids=["log", "exp"])
-    def test_falls_back_when_a_probe_is_off_by_an_ulp(self, f, ufunc, probe):
+    @pytest.mark.parametrize("f, ufunc, probe, outside", [
+        (math.log, np.log, specfun._LOG_PROBE, [0.0, -0.0, -1.0, -math.inf]),
+        (math.exp, np.exp, specfun._EXP_PROBE, [709.8, 1e308])],
+        ids=["log", "exp"])
+    def test_falls_back_when_a_probe_is_off_by_an_ulp(self, f, ufunc, probe,
+                                                      outside):
         off = lambda a: np.nextafter(ufunc(a), np.inf)
         slow, path = specfun._elementwise(f, off, probe)
         assert path == "fromiter"
         assert slow(probe).tobytes() == libm(f)(probe).tobytes()
+        # Where ``f`` raises, the fallback gives the ufunc's value.
+        outside = np.array(outside)
+        with np.errstate(all="ignore"):
+            assert slow(outside).tobytes() == off(outside).tobytes()
+
+    def test_array_lgamma_matches_math_lgamma(self):
+        a = np.concatenate([np.geomspace(1e-300, 1e300, 6001), [math.nan]])
+        for x in (a, a[::-1]):
+            want = np.array([math.lgamma(v) for v in x])
+            assert _ARRAY_OPS.lgamma(x).tobytes() == want.tobytes()
