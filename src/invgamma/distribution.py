@@ -5,6 +5,7 @@ E[log x] = log(beta) - digamma(alpha) and E[1/x] = alpha/beta, and the
 closed-form KL divergence between two Inverse Gamma distributions.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,17 +154,19 @@ def kl_divergence(p, q):
     float64 arrays in ``alpha`` and ``beta`` (a ``BatchFit``, say), scored
     per element with the same bits; a NaN estimate scores NaN.  Evaluated
     entirely in log space so large shapes and scales cannot overflow.
-    Exact zero for p == q; rounding slack down to -1e-12 is clamped to
-    zero, anything more negative is a bug and raises.
+    Exact zero for p == q.  The sum cancels terms as large as about
+    alpha log alpha, so rounding slack down to -1e-12 max(1, |largest
+    term|) is clamped to zero; anything more negative is a bug and raises.
     """
     op = _ARRAY_OPS if isinstance(p.alpha, np.ndarray) else _FLOAT_OPS
     a, b = p.alpha, p.beta
     ah, bh = q.alpha, q.beta
-    val = ((a - ah) * _psi_psi1(op, a)[0]
-           + ah * (op.log(b) - op.log(bh))
-           + op.lgamma(ah) - op.lgamma(a)
-           + a * (bh / b) - a)
-    if op.any(val < -1e-12):
+    terms = ((a - ah) * _psi_psi1(op, a)[0], ah * (op.log(b) - op.log(bh)),
+             op.lgamma(ah), op.lgamma(a), a * (bh / b), a)
+    t1, t2, t3, t4, t5, t6 = terms
+    val = t1 + t2 + t3 - t4 + t5 - t6
+    slack = functools.reduce(np.fmax, map(abs, terms), 1.0)
+    if op.any(val < -1e-12 * slack):
         raise ArithmeticError(
             f"KL divergence evaluated to {np.nanmin(val)}, below rounding slack")
     return op.where(val < 0.0, 0.0, val)

@@ -14,7 +14,7 @@ Every estimator consumes a sample only through ``SufficientStats``, and
 is one entry of the name table ``_ESTIMATORS``: its constants, a one-step
 update of alpha, its scale estimate and, for BL1 and BL2, its Laplace
 summary.  Each update is written once, as ``step(op, alpha, *constants)``
-over ``_ops``, specfun's float or array kernels, and run by two drivers
+over specfun's kernel tables, float or array, and run by two drivers
 that stop when the relative change of alpha drops to ``rel_tol`` or a
 step is not finite: ``_fixed_point`` on floats for ``fit_*``, and
 ``_iterate`` on masked float64 arrays for ``fit_batch`` over a
@@ -26,20 +26,12 @@ that fit raises.
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .distribution import InvGammaParams
-from .specfun import (
-    _ARRAY_OPS,
-    _FLOAT_OPS,
-    _clog,
-    _inv_digamma,
-    _inv_digamma_array,
-    _psi_psi1,
-)
+from .specfun import _ARRAY_OPS, _FLOAT_OPS, _clog, _psi_psi1
 
 
 class InsufficientDataError(ValueError):
@@ -78,6 +70,8 @@ class SufficientStats:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.n > 0 and not (self.mean > 0.0 and self.sum_inv > 0.0):
             raise ValueError("positive samples imply mean > 0 and sum_inv > 0")
+        if self.n < 2 and not math.isnan(self.var):  # fit_batch relies on it
+            raise ValueError(f"var must be NaN when n < 2, got {self.var!r}")
 
     @classmethod
     def empty(cls) -> "SufficientStats":
@@ -259,7 +253,7 @@ def quad_approx_coeffs(stats: SufficientStats, alpha: float) -> QuadLogLikApprox
     k0 + k1*alpha + k2*log(alpha) at the expansion point."""
     if not alpha > 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    k1, k2 = _surrogate_k(_ops(batched=False), alpha, stats.n, stats.mean_log,
+    k1, k2 = _surrogate_k(_FLOAT_OPS, alpha, stats.n, stats.mean_log,
                           math.log(stats.sum_inv))
     k0 = profile_log_likelihood(stats, alpha) - k1 * alpha - k2 * math.log(alpha)
     return QuadLogLikApprox(k0, k1, k2, alpha)
@@ -305,16 +299,8 @@ def _guarded(op, alpha, nxt):
     return op.where(finite & (nxt > 0.0), nxt, op.sqrt(alpha * floor))
 
 
-def _ops(batched: bool) -> SimpleNamespace:
-    """specfun's float or array kernels, which give the same bits, and
-    ψ⁻¹'s driver.  Built per fit, so patched kernels are seen."""
-    if batched:
-        return SimpleNamespace(**vars(_ARRAY_OPS), inv_digamma=_inv_digamma_array)
-    return SimpleNamespace(**vars(_FLOAT_OPS), inv_digamma=_inv_digamma)
-
-
 # The parts of each estimator, over ``SufficientStats`` or ``StatsBatch``
-# (they share field names) and the kernels of ``_ops``.
+# (they share field names) and specfun's kernel tables.
 
 def _mm_beta(s, o, alpha):
     return s.mean * (alpha - 1.0)
@@ -417,7 +403,7 @@ def _fit(name: str, stats: SufficientStats,
     est = _ESTIMATORS[name]
     alpha = _mm_alpha(stats)
     it, res, conv, posterior = 0, 0.0, True, None
-    op = _ops(batched=False)
+    op = _FLOAT_OPS
     if est.step is not None:
         consts = est.constants(op, stats, options)
         # Only the log of sum(1/x), or of BL1's e + sum(1/x), can overflow.
@@ -518,7 +504,7 @@ def bl1_log_posterior_curve(stats: SufficientStats,
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
         raise ValueError("alpha grid must be finite and > 0")
     _, log_a_hat, b_hat, c_hat, _, _ = _bl1_constants(
-        _ops(batched=False), stats, FitOptions(shape_prior, scale_prior))
+        _FLOAT_OPS, stats, FitOptions(shape_prior, scale_prior))
     if beta_hat is None:
         if stats.n == 0:
             beta_hat = scale_prior.d / scale_prior.e
@@ -550,11 +536,6 @@ class StatsBatch:
 
     def __len__(self) -> int:
         return self.n.size
-
-    def take(self, idx: np.ndarray) -> "StatsBatch":
-        return StatsBatch(self.n[idx], self.mean[idx], self.var[idx],
-                          self.sum_inv[idx], self.sum_log[idx],
-                          self.mean_log[idx])
 
 
 @dataclass(frozen=True)
@@ -609,36 +590,30 @@ def fit_batch(name: str, batch: StatsBatch,
     of ``batch``.
 
     Each element gets the alpha, beta, iterations, convergence flag and
-    residual of the scalar ``fit_*`` on its stats, bit for bit.  Where the
-    scalar fit raises (n < 2, zero variance, a near-constant sample that
-    makes the ML2/BL2 update divide by zero, a BL2 posterior with no
-    interior maximum, or a non-finite or non-positive estimate) the element
-    is marked failed instead.
+    residual of the scalar ``fit_*`` on its stats, bit for bit.  An element
+    fails where its estimate is not valid (not finite and > 0), which is
+    where the scalar fit raises: n < 2 (the start is NaN), zero variance
+    (the start is +inf), a near-constant sample that makes the ML2/BL2
+    update divide by zero, a BL2 posterior with no interior maximum, or a
+    non-finite or non-positive estimate.
     """
     est = _spec(name)
-    valid = np.flatnonzero((batch.n >= 2.0) & (batch.var > 0.0))
-    b = batch.take(valid)
+    op = _ARRAY_OPS
     # Python floats overflow to inf and turn inf - inf into NaN silently,
-    # so these arrays do too; the steps handle division by zero.
+    # so these arrays do too; the steps handle division by zero.  No step
+    # comes back from a non-finite start, and ``_iterate`` stops there.
     with np.errstate(all="ignore"):
-        a = b.mean * b.mean / b.var + 2.0
-        it, res = np.zeros(len(b), np.int64), np.zeros(len(b))
-        ok = np.ones(len(b), dtype=bool)
-        op = _ops(batched=True)
+        a = batch.mean * batch.mean / batch.var + 2.0
+        it, res = np.zeros(len(batch), np.int64), np.zeros(len(batch))
+        ok = np.ones(len(batch), dtype=bool)
         if est.step is not None:
-            consts = est.constants(op, b, options)
+            consts = est.constants(op, batch, options)
             a, prev, it, res, ok = _iterate(est.step, op, a, consts,
                                             options.conv)
             if est.posterior is not None:
                 a[ok & est.posterior(op, a, prev, *consts)[2]] = math.nan
-        bt = est.beta(b, options, a)
+        bt = est.beta(batch, options, a)
         good = _valid_estimate(op, a, bt)
-
-    def scatter(values, fill):
-        out = np.full(len(batch), fill, dtype=values.dtype)
-        out[valid[good]] = values[good]
-        return out
-
-    return BatchFit(scatter(a, math.nan), scatter(bt, math.nan),
-                    scatter(it, 0), scatter(ok, False),
-                    scatter(res, math.nan), ~scatter(good, False))
+    return BatchFit(np.where(good, a, math.nan), np.where(good, bt, math.nan),
+                    np.where(good, it, 0), good & ok,
+                    np.where(good, res, math.nan), ~good)

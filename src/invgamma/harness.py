@@ -5,6 +5,8 @@ splittable seed tree, runs the configured estimators on the shared
 sample, and records KL(truth || estimate), parameter bias, iteration
 counts and wall-clock time per fit.  Emission is order-normalized CSV so
 identical configs produce identical files (runtime column excepted).
+Records and bias aggregates are ``NamedTuple``s: a CSV header is its
+tuple's field names, and each row is written by one ``%`` template.
 
 Sweeps run batched: each estimator fits all simulations of a size in one
 ``fit_batch`` call, bit-identical to the scalar fitters, and ``runtime_s``
@@ -26,6 +28,7 @@ import time
 from dataclasses import dataclass
 from itertools import repeat
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,10 +56,6 @@ from .specfun import inv_digamma
 
 _ESTIMATOR_INDEX = {name: i for i, name in enumerate(ESTIMATORS)}
 
-RECORDS_CSV_HEADER = ("N,sim,estimator,alpha_true,beta_true,alpha_hat,beta_hat,"
-                      "kl,bias_alpha,bias_beta,iterations,converged,runtime_s")
-BIAS_CSV_HEADER = ("N,estimator,n_used,n_failed,mean_bias_alpha,std_bias_alpha,"
-                   "mean_bias_beta,std_bias_beta")
 CURVES_CSV_HEADER = "variant,alpha,log_prior,log_posterior,alpha_true,alpha_hat"
 
 # Truths are drawn uniformly from this box.  The shape is > 2, so the
@@ -97,8 +96,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
-class SimulationRecord:
+class SimulationRecord(NamedTuple):
     N: int
     sim: int
     estimator: str
@@ -114,8 +112,7 @@ class SimulationRecord:
     runtime_s: float
 
 
-@dataclass(frozen=True)
-class BiasAggregate:
+class BiasAggregate(NamedTuple):
     N: int
     estimator: str
     n_used: int
@@ -124,6 +121,16 @@ class BiasAggregate:
     std_bias_alpha: float
     mean_bias_beta: float
     std_bias_beta: float
+
+
+RECORDS_CSV_HEADER = ",".join(SimulationRecord._fields)
+BIAS_CSV_HEADER = ",".join(BiasAggregate._fields)
+# One row of each CSV; "%.17g" is ``fmt_float``'s format.  A record's
+# ``converged`` is written as false/true.
+_RECORD_ROW = "%d,%d,%s" + ",%.17g" * 7 + ",%d,%s,%.17g"
+_BOOL_TEXT = ("false", "true")
+_BIAS_ROW = "%d,%s,%d,%d" + ",%.17g" * 4
+_CURVES_ROW = "%s" + ",%.17g" * 5
 
 
 def child_rng(base_seed: int, size: int, sim: int) -> np.random.Generator:
@@ -391,18 +398,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _csv(header: str, row: str, rows) -> str:
+    """The header and one ``row % values`` line per row."""
+    return "\n".join([header, *map(row.__mod__, rows)]) + "\n"
+
+
 def records_to_csv(records: list[SimulationRecord]) -> str:
-    lines = [RECORDS_CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            str(r.N), str(r.sim), r.estimator,
-            fmt_float(r.alpha_true), fmt_float(r.beta_true),
-            fmt_float(r.alpha_hat), fmt_float(r.beta_hat), fmt_float(r.kl),
-            fmt_float(r.bias_alpha), fmt_float(r.bias_beta),
-            str(r.iterations), "true" if r.converged else "false",
-            fmt_float(r.runtime_s),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv(RECORDS_CSV_HEADER, _RECORD_ROW,
+                (r[:11] + (_BOOL_TEXT[r.converged], r.runtime_s)
+                 for r in records))
 
 
 def write_records_csv(records: list[SimulationRecord], path: str) -> None:
@@ -425,19 +429,8 @@ def read_records_csv(path: str) -> list[SimulationRecord]:
 
 
 def write_bias_csv(aggregates: list[BiasAggregate], path: str) -> None:
-    lines = [BIAS_CSV_HEADER]
-    for a in aggregates:
-        lines.append(",".join([
-            str(a.N), a.estimator, str(a.n_used), str(a.n_failed),
-            fmt_float(a.mean_bias_alpha), fmt_float(a.std_bias_alpha),
-            fmt_float(a.mean_bias_beta), fmt_float(a.std_bias_beta),
-        ]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv(BIAS_CSV_HEADER, _BIAS_ROW, aggregates))
 
 
 def write_curves_csv(rows: list[tuple], path: str) -> None:
-    lines = [CURVES_CSV_HEADER]
-    for (label, alpha, lp, lq, at, ah) in rows:
-        lines.append(",".join([label, fmt_float(alpha), fmt_float(lp), fmt_float(lq),
-                               fmt_float(at), fmt_float(ah)]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _csv(CURVES_CSV_HEADER, _CURVES_ROW, rows))

@@ -9,8 +9,9 @@ threshold.  ``inv_digamma`` is a guarded Newton iteration.
 Each kernel is written once over an ``op`` table: ``_FLOAT_OPS`` on Python
 floats, or ``_ARRAY_OPS`` elementwise on float64 arrays for the batched
 fitters, with the C library's log and exp (see ``_elementwise``) so that
-each element gets the bits of the float call.  The ``_``-prefixed kernels
-skip argument validation; the public wrappers validate and raise.
+each element gets the bits of the float call.  Each table also carries
+its ψ⁻¹ driver as ``inv_digamma``.  The ``_``-prefixed kernels skip
+argument validation; the public wrappers validate and raise.
 """
 
 import math
@@ -137,6 +138,10 @@ def _inv_digamma_array(y: np.ndarray) -> np.ndarray:
             live, nxt, y, tol = live[keep], nxt[keep], y[keep], tol[keep]
         x = nxt
     return out
+
+
+_FLOAT_OPS.inv_digamma = _inv_digamma
+_ARRAY_OPS.inv_digamma = _inv_digamma_array
 
 
 def _check_positive(name: str, x: float) -> float:

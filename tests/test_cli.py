@@ -520,6 +520,13 @@ class TestKl:
                       "--q-alpha", "3", "--q-beta", "2")
         assert res.returncode == 2
 
+    def test_large_shape_one_ulp_apart_exits_0(self):
+        # The sum cancels lgamma terms of about 2.9e14 to -0.001953125,
+        # which is rounding, not a negative KL.
+        res = run_cli("kl", "--p-alpha", "1e13", "--p-beta", "1",
+                      "--q-alpha", "1e13", "--q-beta", "0.9999999999999999")
+        assert (res.returncode, res.stdout, res.stderr) == (0, "0\n", "")
+
 
 class TestBenchmark:
     def test_rows_and_ordering(self, tmp_path):

@@ -466,11 +466,12 @@ class TestKlDivergence:
         assert math.isfinite(v) and v > 0
 
 
-# p = (a, b) and q = (ah, bh) where the float KL rounds to [-1e-12, 0)
-# (clamped to 0.0) and below -1e-12 (raises).
+# p = (a, b) and q = (ah, bh) where the float KL rounds to [-1e-12, 0),
+# and to -0.001953125, inside the slack of its 2.9e14 lgamma terms: both
+# are clamped to 0.0.
 CLAMPED_ROW = (1.3558794678123514, 75.79166280107815,
                1.3558794678123516, 75.7916628010782)
-NEGATIVE_ROW = (1e13, 1.0, 1e13, 1.0 - 2.0 ** -53)
+LARGE_SHAPE_ROW = (1e13, 1.0, 1e13, 1.0 - 2.0 ** -53)
 
 
 def float_kl(a, b, ah, bh):
@@ -537,13 +538,38 @@ class TestKlArrays:
         assert got[~nan].tobytes() == want[~nan].tobytes()
         assert np.all(got[(a == ah) & (b == bh)] == 0.0)
 
-    def test_clamp_and_raise(self):
-        a, b, ah, bh = np.transpose([CLAMPED_ROW, (3.0, 2.0, 3.0, 2.0)])
+    def test_clamp_and_raise(self, monkeypatch):
+        rows = [CLAMPED_ROW, (3.0, 2.0, 3.0, 2.0), LARGE_SHAPE_ROW]
+        a, b, ah, bh = np.transpose(rows)
         assert kl_divergence(params_arrays(a, b),
-                             params_arrays(ah, bh)).tolist() == [0.0, 0.0]
-        a, b, ah, bh = np.transpose([(3.0, 2.0, 3.0, 4.0), NEGATIVE_ROW])
+                             params_arrays(ah, bh)).tolist() == [0.0] * 3
+        assert [float_kl(*row) for row in rows] == [0.0] * 3
+        # A digamma off by one is a bug: the sum falls far below its slack.
+        psi_psi1 = distribution._psi_psi1
+        monkeypatch.setattr(distribution, "_psi_psi1",
+                            lambda op, x: (psi_psi1(op, x)[0] + 1.0, None))
+        a, b, ah, bh = np.transpose([(3.0, 2.0, 3.0, 4.0), (3.0, 2.0, 4.0, 2.0)])
         with pytest.raises(ArithmeticError, match="below rounding slack"):
             kl_divergence(params_arrays(a, b), params_arrays(ah, bh))
         with pytest.raises(ArithmeticError, match="below rounding slack"):
-            kl_divergence(InvGammaParams(*NEGATIVE_ROW[:2]),
-                          InvGammaParams(*NEGATIVE_ROW[2:]))
+            kl_divergence(InvGammaParams(3.0, 2.0), InvGammaParams(4.0, 2.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(math.log(1e-3), math.log(1e15)).map(math.exp),
+           beta=st.floats(math.log(1e-6), math.log(1e6)).map(math.exp),
+           ulps=st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+                         min_size=1, max_size=20))
+    @example(alpha=1e6, beta=1.0, ulps=[(0, k) for k in range(-50, 51)])
+    def test_large_shapes_stay_inside_the_slack(self, alpha, beta, ulps):
+        # Estimates one to 50 ulp-sized steps from the truth, as a sweep's
+        # would be near convergence: the sum cancels terms of size about
+        # alpha log alpha, which must not raise.
+        ah = np.array([alpha * (1.0 + j * 2.0 ** -52) for j, _ in ulps])
+        bh = np.array([beta * (1.0 + k * 2.0 ** -52) for _, k in ulps])
+        floats = [kl_divergence(InvGammaParams(alpha, beta), InvGammaParams(x, y))
+                  for x, y in zip(ah.tolist(), bh.tolist())]
+        got = kl_divergence(params_arrays(np.full(ah.size, alpha),
+                                          np.full(ah.size, beta)),
+                            params_arrays(ah, bh))
+        assert min(floats) >= 0.0
+        assert got.tobytes() == np.array(floats).tobytes()

@@ -44,7 +44,7 @@ from invgamma import (
     sample,
     trigamma,
 )
-from invgamma import estimators
+from invgamma import specfun
 from conftest import make_dataset
 
 FLAT_SHAPE = ShapePriorABC.with_a(1.0, 1e-8, 1e-8)
@@ -498,7 +498,7 @@ class TestFixedPointStops:
             calls.append(y)
             return math.nan
 
-        monkeypatch.setattr(estimators, "_inv_digamma", nan_inv_digamma)
+        monkeypatch.setattr(specfun._FLOAT_OPS, "inv_digamma", nan_inv_digamma)
         for fitter in (fit_ml1, fit_bl1):
             calls.clear()
             with pytest.raises(DegenerateSampleError,
@@ -556,6 +556,12 @@ class TestMlAgreement:
 
 
 class TestConfigValidation:
+    def test_stats_below_two_values_have_no_variance(self):
+        # fit_batch fails an n < 2 row because its NaN variance starts the
+        # fit at NaN, where the scalar fit raises InsufficientDataError.
+        with pytest.raises(ValueError, match="var must be NaN when n < 2"):
+            SufficientStats(1, 2.0, 1.0, 0.5, 0.7, 0.7)
+
     def test_convergence_config(self):
         with pytest.raises(ValueError):
             ConvergenceConfig(rel_tol=0.0)
@@ -632,13 +638,30 @@ class TestFitBatch:
                     want.converged, want.residual), (name, stats)
 
     def test_failed_elements_are_nan(self):
-        rows = [compute_stats([2.0]), compute_stats([3.0, 3.0]),
-                compute_stats([1.0, 2.0, 4.0])]
-        fit = fit_batch("ML1", StatsBatch.pack(rows))
-        assert fit.failed.tolist() == [True, True, False]
-        assert np.isnan(fit.alpha[:2]).all() and np.isnan(fit.beta[:2]).all()
-        assert fit.iterations[:2].tolist() == [0, 0]
-        assert not fit.converged[:2].any()
+        # n = 1, a constant sample and moments that overflow float64 start
+        # the whole-batch fit at NaN or inf, next to valid rows.
+        rows = [compute_stats(x) for x in (
+            [2.0], [3.0, 3.0], [1e308, 1.5e308, 1e307], [1.0, 2.0, 4.0],
+            [0.5, 3.0, 1.2, 0.8])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ESTIMATORS:
+                fit = fit_batch(name, StatsBatch.pack(rows))
+                raises = []
+                for stats in rows:
+                    try:
+                        fit_by_name(name, stats, FitOptions())
+                        raises.append(False)
+                    except SCALAR_RAISES:
+                        raises.append(True)
+                assert raises == [True, True, True, False, False], name
+                assert fit.failed.tolist() == raises, name
+                bad = fit.failed
+                assert np.isnan(fit.alpha[bad]).all(), name
+                assert np.isnan(fit.beta[bad]).all(), name
+                assert np.isnan(fit.residual[bad]).all(), name
+                assert fit.iterations[bad].tolist() == [0, 0, 0], name
+                assert not fit.converged[bad].any(), name
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ from invgamma import (
     sample,
     wilcoxon_rank_sum,
 )
-from invgamma import cli, estimators, harness
+from invgamma import cli, estimators, harness, specfun
 from invgamma.distribution import InvGammaParams
 from invgamma.harness import (
     BIAS_CSV_HEADER,
@@ -138,7 +138,7 @@ class TestRecords:
         def broken(y):
             raise TypeError("broken kernel")
 
-        monkeypatch.setattr(estimators, "_inv_digamma_array", broken)
+        monkeypatch.setattr(specfun._ARRAY_OPS, "inv_digamma", broken)
         cfg = ExperimentConfig(sizes=(30,), sims_per_size=2,
                                estimators=("MM", "ML1"))
         # Inline, and raised in a forked fit worker.
@@ -351,6 +351,17 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == BIAS_CSV_HEADER
         assert len(lines) == 1 + 2 * 5
+        # Whole aggregate CSVs of ``invgamma bias``, pinned when each field
+        # had its own formatting call; the second holds 8 nan.
+        for args, digest in [
+            ("--sizes 20,50 --sims 200 --seed 0",
+             "6f9217eeb219fec3a6158e7aa11375917d0e2ff26f6d9c37aecfbf2560998c83"),
+            ("--sizes 1,2,3,30 --sims 40 --seed 3 --w1 1e12",
+             "cc8e3438e501b69dfd9d068d0a80584ae87cfcdf1e0ce2ed77b3b4834e64be53"),
+        ]:
+            assert cli.main(["bias", *args.split(), "--out",
+                             str(tmp_path / "raw.csv"), "--agg-out", str(path)]) == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestBiasExperiment:
@@ -529,6 +540,15 @@ class TestCurves:
         lines = path.read_text().splitlines()
         assert lines[0] == CURVES_CSV_HEADER
         assert len(lines) == 1 + len(rows)
+        # Whole files of ``invgamma curves``, pinned when each field had its
+        # own formatting call.
+        for n, digest in [
+            ("1000", "dfa18bc5192bfaa93ccd4eab5cc48b6d7634e68596b2d5c9d940d03d384ada2d"),
+            ("0", "f75b382a99e5c5353e105b201a8178e8ff2f32f36b7a4370b3300d857025340f"),
+        ]:
+            assert cli.main(["curves", "--alpha", "10", "--beta", "25", "--n", n,
+                             "--seed", "0", "--out", str(path)]) == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestKlByEstimator:
