@@ -287,7 +287,12 @@ def cmd_sample(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
-    x = sample(p, args.n, np.random.default_rng(args.seed))
+    with np.errstate(divide="ignore", over="ignore"):
+        x = sample(p, args.n, np.random.default_rng(args.seed))
+    if not ((x > 0.0).all() and np.isfinite(x).all()):
+        _err(f"alpha={args.alpha:g}, beta={args.beta:g}: draws fall outside "
+             f"the positive finite float64 range")
+        return 2
     for lo in range(0, x.size, _EMIT_CHUNK):
         chunk = tuple(x[lo:lo + _EMIT_CHUNK].tolist())
         # One C formatting call per chunk, with fmt_float's "%.17g" bytes.
@@ -302,7 +307,12 @@ def cmd_kl(args) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
-    print(fmt_float(kl_divergence(p, q)))
+    try:
+        kl = kl_divergence(p, q)
+    except OverflowError as exc:
+        _err(f"KL divergence out of float64 range for these shapes ({exc})")
+        return 2
+    print(fmt_float(kl))
     return 0
 
 

@@ -39,8 +39,9 @@ def log_pdf(p: InvGammaParams, x):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("log_pdf requires finite x > 0")
+    log_x = _clog(arr.ravel()).reshape(arr.shape)
     out = (p.alpha * math.log(p.beta) - math.lgamma(p.alpha)
-           - (p.alpha + 1.0) * np.log(arr) - p.beta / arr)
+           - (p.alpha + 1.0) * log_x - p.beta / arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -124,7 +125,10 @@ def _standard_gamma(alpha: float, n: int, rng: np.random.Generator) -> np.ndarra
 
 def sample(p: InvGammaParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent draws, computed as beta over unit-rate Gamma(alpha)
-    variates; deterministic for a given generator state."""
+    variates; deterministic for a given generator state.  Draws beyond
+    float64's range are not refused: a Gamma variate that underflows to 0
+    (small alpha) gives inf, with numpy's divide warning, and beta over a
+    huge variate can round to 0."""
     n = int(n)
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
@@ -153,10 +157,11 @@ def kl_divergence(p, q):
     ``p`` and ``q`` are ``InvGammaParams``, scored as floats, or both hold
     float64 arrays in ``alpha`` and ``beta`` (a ``BatchFit``, say), scored
     per element with the same bits; a NaN estimate scores NaN.  Evaluated
-    entirely in log space so large shapes and scales cannot overflow.
-    Exact zero for p == q.  The sum cancels terms as large as about
-    alpha log alpha, so rounding slack down to -1e-12 max(1, |largest
-    term|) is clamped to zero; anything more negative is a bug and raises.
+    in log space, so large scales do not overflow; ``math.lgamma`` raises
+    ``OverflowError`` for a shape above about 2.6e305.  Exact zero for
+    p == q.  The sum cancels terms as large as about alpha log alpha, so
+    rounding slack down to -1e-12 max(1, |largest term|) is clamped to
+    zero; anything more negative is a bug and raises.
     """
     op = _ARRAY_OPS if isinstance(p.alpha, np.ndarray) else _FLOAT_OPS
     a, b = p.alpha, p.beta

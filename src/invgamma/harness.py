@@ -14,9 +14,9 @@ is that call's wall time divided by the number of simulations.  That
 ``BatchFit`` is scored by one array ``kl_divergence`` call against the
 size's truths, and its records are built from those columns.  Where the
 host has more than one CPU, the ``fit_batch`` calls run in forked worker
-processes while this process draws the next size and scores the last
-one; every element's fit is independent of its batch companions, so the
-records do not depend on the number of workers.  Single fits
+processes while this process draws the later sizes; every element's fit
+is independent of its batch companions, so the records do not depend on
+the number of workers.  Single fits
 (``fit_by_name``, ``invgamma fit``) run the scalar ``fit_*``.
 """
 
@@ -26,7 +26,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat, starmap
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -49,10 +49,11 @@ from .estimators import (  # fit_mm .. fit_bl2: see fit_by_name
     fit_ml1,
     fit_ml2,
     fit_mm,
+    _bl1_constants,
     _spec,
     scale_posterior,
 )
-from .specfun import inv_digamma
+from .specfun import _FLOAT_OPS, inv_digamma
 
 _ESTIMATOR_INDEX = {name: i for i, name in enumerate(ESTIMATORS)}
 
@@ -181,55 +182,51 @@ def _run_inline(fn, *args):
     return lambda: value
 
 
-def _size_records(size: int, truth, tasks) -> list[SimulationRecord]:
-    """Records of one size, built from columns: the truths, each
-    estimator's ``BatchFit`` (NaN, 0 and False on failed rows), one KL
-    call and the two bias differences."""
-    records, sims = [], range(truth.alpha.size)
+def _size_records(size: int, truth, tasks):
+    """Records of one size, sim by sim across estimators, built from
+    columns: the truths, each estimator's ``BatchFit`` (NaN, 0 and False
+    on failed rows), one KL call and the two bias differences."""
+    sims = range(truth.alpha.size)
     truth_cols = truth.alpha.tolist(), truth.beta.tolist()
+    per_estimator = []
     for name, result in tasks:
         fit, seconds = result()
         cols = (fit.alpha, fit.beta, kl_divergence(truth, fit),
                 fit.alpha - truth.alpha, fit.beta - truth.beta,
                 fit.iterations, fit.converged)
-        records += map(SimulationRecord, repeat(size), sims, repeat(name),
-                       *truth_cols, *(c.tolist() for c in cols),
-                       repeat(seconds / len(sims)))
-    return records
+        per_estimator.append(map(
+            SimulationRecord, repeat(size), sims, repeat(name), *truth_cols,
+            *(c.tolist() for c in cols), repeat(seconds / len(sims))))
+    return chain.from_iterable(zip(*per_estimator))
 
 
 def _sweep(cfg: ExperimentConfig, submit) -> list[SimulationRecord]:
-    """Draw each size and hand its fits to ``submit``, which returns a
-    callable that waits for the result.  A size's records are built after
-    the next size is drawn and submitted."""
-    records, pending = [], []
-    for size in cfg.sizes:
+    """Draw every size, smallest first, and hand its fits to ``submit``
+    in table order; ``submit`` returns a callable that waits for the
+    result.  Then build each size's records in turn, already in order."""
+    submitted = []
+    for size in sorted(cfg.sizes):
         alphas, betas, stats = zip(*(_draw_stats(cfg, size, sim)
                                      for sim in range(cfg.sims_per_size)))
         batch = StatsBatch.pack(stats)
         tasks = [(name, submit(_timed_fit, name, batch, cfg.fit))
-                 for name in cfg.estimators]
+                 for name in ESTIMATORS if name in cfg.estimators]
         truth = SimpleNamespace(alpha=np.array(alphas), beta=np.array(betas))
-        pending.append((size, truth, tasks))
-        if len(pending) == 2:
-            records.extend(_size_records(*pending.pop(0)))
-    for item in pending:
-        records.extend(_size_records(*item))
-    records.sort(key=lambda r: (r.N, r.sim, _ESTIMATOR_INDEX[r.estimator]))
-    return records
+        submitted.append((size, truth, tasks))
+    return list(chain.from_iterable(starmap(_size_records, submitted)))
 
 
 def run_kl_experiment(cfg: ExperimentConfig) -> list[SimulationRecord]:
-    """All simulation records, sorted by (N, sim, estimator).
+    """All simulation records, in (N, sim, estimator table) order.
 
     Each sample is drawn and reduced on its own, so no sims x N matrix is
     held; each estimator then fits all sims of a size in one ``fit_batch``
     call.  With ``_fit_workers(cfg)`` > 1, the ``fork`` start method
     available and no other thread running, those calls run in a pool of
-    forked workers while this process draws the next size and builds the
-    records (KL included) of the one before; otherwise they run here, in
-    the same order.  Sampling, statistics, KL and sorting stay in this
-    process either way.
+    forked workers while this process draws every size, smallest first,
+    then builds each size's records (KL included) in turn; otherwise they
+    run here, in the same order.  Sampling, statistics and KL stay in
+    this process either way.
     ``runtime_s`` is the ``fit_batch`` wall time, measured inside the
     process that ran it, divided by the number of sims.  Fits whose scalar
     version raises a domain error become converged=False rows with NaN
@@ -370,10 +367,10 @@ def emit_prior_posterior_curves(stats: SufficientStats,
                                             grid, beta_hat=beta_hat)
         log_post = bl1_log_posterior_curve(stats, sp, scale_prior,
                                            grid, beta_hat=beta_hat)
-        log_a_hat = sp.log_a + stats.sum_log
-        alpha_hat = inv_digamma(
-            (-log_a_hat + (sp.c + stats.n) * math.log(beta_hat))
-            / (sp.b + stats.n))
+        _, log_a_hat, b_hat, c_hat, _, _ = _bl1_constants(
+            _FLOAT_OPS, stats, FitOptions(sp, scale_prior))
+        alpha_hat = inv_digamma((-log_a_hat + c_hat * math.log(beta_hat))
+                                / b_hat)
         for a, lp, lq in zip(grid, log_prior, log_post):
             rows.append((label, float(a), float(lp), float(lq),
                          float(alpha_true), alpha_hat))

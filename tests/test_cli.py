@@ -454,6 +454,19 @@ class TestSample:
         res = run_cli("sample", "--alpha", "-3", "--beta", "2", "--n", "1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("alpha, beta", [
+        ("0.001", "1"),       # Gamma variates underflow to 0: x = inf
+        ("0.01", "1e300"),    # beta / variate overflows
+    ])
+    def test_draws_beyond_float64_exit_2(self, alpha, beta):
+        res = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "invgamma", "sample",
+             "--alpha", alpha, "--beta", beta, "--n", "5", "--seed", "0"],
+            capture_output=True, text=True, env=os.environ.copy())
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.startswith("invgamma: ")
+        assert len(res.stderr.splitlines()) == 1
+
     @pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537, 131_073])
     def test_emission_matches_library(self, n):
         res = run_cli("sample", "--alpha", "0.6", "--beta", "2", "--n", str(n),
@@ -526,6 +539,17 @@ class TestKl:
         res = run_cli("kl", "--p-alpha", "1e13", "--p-beta", "1",
                       "--q-alpha", "1e13", "--q-beta", "0.9999999999999999")
         assert (res.returncode, res.stdout, res.stderr) == (0, "0\n", "")
+
+    @pytest.mark.parametrize("args", [
+        ("--p-alpha", "1.7e308", "--p-beta", "1", "--q-alpha", "1"),
+        ("--p-alpha", "1", "--p-beta", "1", "--q-alpha", "1.7e308"),
+    ])
+    def test_shape_beyond_lgamma_range_exits_2(self, args):
+        # math.lgamma overflows above a shape of about 2.6e305.
+        res = run_cli("kl", *args, "--q-beta", "1")
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr.startswith("invgamma: ")
+        assert len(res.stderr.splitlines()) == 1
 
 
 class TestBenchmark:

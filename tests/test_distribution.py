@@ -77,6 +77,18 @@ class TestLogPdf:
         with pytest.raises(ValueError):
             log_pdf(InvGammaParams(3, 2), 0.0)
 
+    def test_c_library_log_bits(self):
+        # The probe grid holds inputs where numpy's contiguous SIMD log is
+        # off the C library's by an ulp on some CPUs.
+        p = InvGammaParams(3.5, 2.25)
+        xs = specfun._LOG_PROBE
+        want = (p.alpha * math.log(p.beta) - math.lgamma(p.alpha)
+                - (p.alpha + 1.0) * libm_log(xs) - p.beta / xs)
+        assert log_pdf(p, xs).tobytes() == want.tobytes()
+        assert (log_pdf(p, xs.reshape(64, 128)).tobytes()
+                == want.tobytes())
+        assert log_pdf(p, np.array(xs[7])) == want[7]
+
     def test_mode_location(self):
         """argmax of the density sits at beta / (alpha + 1).
 

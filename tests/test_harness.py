@@ -107,6 +107,22 @@ class TestRecords:
             if r.converged and r.estimator != "MM":
                 assert r.iterations >= 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_order_ignores_config_order(self, workers, monkeypatch):
+        # Records come out in (N, sim, table index) order, whatever order
+        # the config lists sizes and estimators in.
+        monkeypatch.setattr(harness, "_fit_workers", lambda cfg: workers)
+        shuffled = run_kl_experiment(ExperimentConfig(
+            sizes=(50, 20, 30), sims_per_size=7,
+            estimators=("BL2", "MM", "ML1")))
+        keys = [(r.N, r.sim, ESTIMATORS.index(r.estimator)) for r in shuffled]
+        assert keys == sorted(keys) and len(keys) == 3 * 7 * 3
+        ordered = run_kl_experiment(ExperimentConfig(
+            sizes=(20, 30, 50), sims_per_size=7,
+            estimators=("MM", "ML1", "BL2")))
+        assert (_records_without_runtime(shuffled)
+                == _records_without_runtime(ordered))
+
     def test_failures_recorded_not_fatal(self):
         cfg = ExperimentConfig(sizes=(30,), sims_per_size=3, base_seed=1,
                                estimators=("MM", "BL2"),
