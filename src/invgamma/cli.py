@@ -2,10 +2,13 @@
 
 Subcommands: fit, sample, kl, benchmark, bias, curves.  Exit codes:
 0 success, 2 malformed input or bad parameters, 3 non-positive sample
-value, 4 estimator failure, 5 output I/O failure or a closed stdout.
+value, 4 estimator failure, 5 output I/O failure or a failed stdout
+write.  ``main`` maps exceptions to these codes; a command catches only
+what needs its context (an input line number, an output path).
 """
 
 import argparse
+import errno
 import itertools
 import json
 import math
@@ -241,14 +244,10 @@ def cmd_fit(args) -> int:
         _err(str(exc))
         return 2
     name = args.estimator.upper()
+    # Bad options exit 2 before an empty sample can exit 4.
     options = _fit_options_from_args(args)
-    try:
-        stats = compute_stats(data)
-        report = fit_by_name(name, stats, options)
-    except (DegenerateSampleError, InsufficientDataError,
-            InvalidPosteriorError) as exc:
-        _err(str(exc))
-        return 4
+    stats = compute_stats(data)
+    report = fit_by_name(name, stats, options)
     if args.strict and not report.converged:
         _err(f"{name} did not converge within {args.max_iter} iterations "
              f"(residual {report.residual:g})")
@@ -282,11 +281,7 @@ def cmd_sample(args) -> int:
     if args.n < 0:
         _err(f"--n must be >= 0, got {args.n}")
         return 2
-    try:
-        p = InvGammaParams(args.alpha, args.beta)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    p = InvGammaParams(args.alpha, args.beta)
     with np.errstate(divide="ignore", over="ignore"):
         x = sample(p, args.n, np.random.default_rng(args.seed))
     if not ((x > 0.0).all() and np.isfinite(x).all()):
@@ -301,12 +296,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_kl(args) -> int:
-    try:
-        p = InvGammaParams(args.p_alpha, args.p_beta)
-        q = InvGammaParams(args.q_alpha, args.q_beta)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    p = InvGammaParams(args.p_alpha, args.p_beta)
+    q = InvGammaParams(args.q_alpha, args.q_beta)
     try:
         kl = kl_divergence(p, q)
     except OverflowError as exc:
@@ -374,24 +365,16 @@ def cmd_curves(args) -> int:
     if args.n < 0 or args.grid_points < 2 or not args.grid_lo < args.grid_hi:
         _err("need n >= 0, grid-points >= 2 and grid-lo < grid-hi")
         return 2
-    try:
-        truth = InvGammaParams(args.alpha, args.beta)
-        scale_prior = ScaleGammaPrior(args.prior_d, args.prior_e)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    truth = InvGammaParams(args.alpha, args.beta)
+    scale_prior = ScaleGammaPrior(args.prior_d, args.prior_e)
     rng = np.random.default_rng(args.seed)
     grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
-    try:
-        if args.n == 0:
-            stats = SufficientStats.empty()
-        else:
-            stats = compute_stats(sample(truth, args.n, rng))
-        rows = emit_prior_posterior_curves(stats, DEFAULT_CURVE_VARIANTS,
-                                           scale_prior, grid, args.alpha)
-    except (DegenerateSampleError, InsufficientDataError) as exc:
-        _err(str(exc))
-        return 4
+    if args.n == 0:
+        stats = SufficientStats.empty()
+    else:
+        stats = compute_stats(sample(truth, args.n, rng))
+    rows = emit_prior_posterior_curves(stats, DEFAULT_CURVE_VARIANTS,
+                                       scale_prior, grid, args.alpha)
     try:
         write_curves_csv(rows, args.out)
     except OSError as exc:
@@ -421,12 +404,23 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()
         return code
+    except (DegenerateSampleError, InsufficientDataError,
+            InvalidPosteriorError) as exc:  # two of them are ValueErrors
+        _err(str(exc))
+        return 4
     except ValueError as exc:
         _err(str(exc))
         return 2
-    except BrokenPipeError:  # the reader left; devnull takes the exit flush
+    except OSError as exc:
+        # A failed fork of a sweep's pool is no output failure.
+        if isinstance(exc, BlockingIOError) or exc.errno == errno.ENOMEM:
+            raise
+        # A stdout write failed; devnull takes the exit flush, which
+        # would fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _err("stdout closed before all output was written")
+        _err("stdout closed before all output was written"
+             if isinstance(exc, BrokenPipeError)  # the reader left
+             else f"cannot write stdout: {exc}")
         return 5
 
 

@@ -55,8 +55,6 @@ from .estimators import (  # fit_mm .. fit_bl2: see fit_by_name
 )
 from .specfun import _FLOAT_OPS, inv_digamma
 
-_ESTIMATOR_INDEX = {name: i for i, name in enumerate(ESTIMATORS)}
-
 CURVES_CSV_HEADER = "variant,alpha,log_prior,log_posterior,alpha_true,alpha_hat"
 
 # Truths are drawn uniformly from this box.  The shape is > 2, so the
@@ -95,6 +93,10 @@ class ExperimentConfig:
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        # Held in the order of every output: N ascending, then table order.
+        object.__setattr__(self, "sizes", tuple(sorted(self.sizes)))
+        object.__setattr__(self, "estimators", tuple(
+            name for name in ESTIMATORS if name in self.estimators))
 
 
 class SimulationRecord(NamedTuple):
@@ -205,12 +207,12 @@ def _sweep(cfg: ExperimentConfig, submit) -> list[SimulationRecord]:
     in table order; ``submit`` returns a callable that waits for the
     result.  Then build each size's records in turn, already in order."""
     submitted = []
-    for size in sorted(cfg.sizes):
+    for size in cfg.sizes:
         alphas, betas, stats = zip(*(_draw_stats(cfg, size, sim)
                                      for sim in range(cfg.sims_per_size)))
         batch = StatsBatch.pack(stats)
         tasks = [(name, submit(_timed_fit, name, batch, cfg.fit))
-                 for name in ESTIMATORS if name in cfg.estimators]
+                 for name in cfg.estimators]
         truth = SimpleNamespace(alpha=np.array(alphas), beta=np.array(betas))
         submitted.append((size, truth, tasks))
     return list(chain.from_iterable(starmap(_size_records, submitted)))
@@ -250,14 +252,14 @@ def run_kl_experiment(cfg: ExperimentConfig) -> list[SimulationRecord]:
 def aggregate_bias(records: list[SimulationRecord]) -> list[BiasAggregate]:
     """Mean and n-1 standard deviation of the bias per estimator and N.
 
-    Rows with NaN estimates are excluded and counted as failed.
+    Rows with NaN estimates are excluded and counted as failed.  Groups
+    keep the order of their first record.
     """
     groups: dict[tuple[int, str], list[SimulationRecord]] = {}
     for r in records:
         groups.setdefault((r.N, r.estimator), []).append(r)
     out = []
-    for (size, name) in sorted(groups, key=lambda k: (k[0], _ESTIMATOR_INDEX[k[1]])):
-        rows = groups[(size, name)]
+    for (size, name), rows in groups.items():
         ba = np.array([r.bias_alpha for r in rows])
         bb = np.array([r.bias_beta for r in rows])
         ok = np.isfinite(ba) & np.isfinite(bb)
@@ -301,12 +303,14 @@ def wilcoxon_rank_sum(xs, ys) -> tuple[float, float]:
     continuity-corrected normal approximation.
 
     Returns (U statistic of ``xs``, two-sided p-value).  Requires a
-    combined sample of at least 10 values.
+    combined sample of at least 10 values, none of them NaN.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.size == 0 or y.size == 0:
         raise ValueError("both samples must be nonempty")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("samples must not hold NaN: NaN has no rank")
     m = x.size + y.size
     if m < 10:
         raise ValueError(

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -179,6 +180,21 @@ class TestFit:
     def test_unknown_flag_exits_2(self):
         res = run_cli("fit", "--estimator", "mm", "--nope", stdin="1\n2\n")
         assert res.returncode == 2
+
+    def test_bad_option_before_empty_input_exits_2(self):
+        # The options are built before the sample is reduced, so a bad
+        # --max-iter exits 2 where the empty sample alone exits 4.
+        res = run_cli("fit", "--estimator", "ml1", "--max-iter", "0", stdin="")
+        assert (res.returncode, res.stdout, res.stderr) == (
+            2, "", "invgamma: rel_tol must be > 0 and max_iter >= 1\n")
+
+    def test_posterior_without_maximum_exits_4(self):
+        res = run_cli("fit", "--estimator", "bl2", "--w1", "1e12",
+                      stdin="1.3\n2.2\n0.7\n1.9\n3.1\n")
+        assert (res.returncode, res.stdout) == (4, "")
+        assert res.stderr.startswith(
+            "invgamma: posterior has no interior maximum")
+        assert len(res.stderr.splitlines()) == 1
 
 
 # The required arguments of each subcommand, and its float flags.
@@ -497,6 +513,21 @@ class TestSample:
         assert "Exception ignored" not in res.stderr
         assert len(res.stderr.splitlines()) <= 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a full device")
+    @pytest.mark.parametrize("args", [
+        ("sample", "--alpha", "10", "--beta", "25", "--n", "5"),
+        ("kl", "--p-alpha", "3", "--p-beta", "2", "--q-alpha", "3",
+         "--q-beta", "4"),
+    ])
+    def test_full_stdout_exits_5(self, args):
+        # One line and exit 5, with nothing more at the interpreter's exit.
+        with open("/dev/full", "w") as full:
+            res = subprocess.run([sys.executable, "-m", "invgamma", *args],
+                                 stdout=full, stderr=subprocess.PIPE,
+                                 text=True, env=os.environ.copy())
+        assert (res.returncode, res.stderr) == (5, ENOSPC_LINE)
+
     def test_closure_roundtrip(self, tmp_path):
         """Samples piped back through the ML1 fitter recover the shape."""
         res = run_cli("sample", "--alpha", "10", "--beta", "25",
@@ -632,6 +663,23 @@ class TestBenchmark:
         assert res.stderr == f"invgamma: {msg}\n"
         assert res.stdout == "" and not out.exists()
 
+    def test_summary_and_csv_ignore_config_order(self, tmp_path):
+        # The summary lists sizes ascending and estimators in table order,
+        # as the records CSV does, whatever order the flags give.
+        runs = []
+        for sizes, names in (("50,20", "BL2,MM"), ("20,50", "MM,BL2")):
+            path = tmp_path / f"{sizes}.csv"
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["benchmark", "--sizes", sizes, "--sims", "40",
+                                 "--estimators", names,
+                                 "--out", str(path)]) == 0
+            runs.append((out.getvalue(),
+                         [line.rsplit(",", 1)[0]
+                          for line in path.read_text().splitlines()]))
+        assert runs[0] == runs[1]
+        assert runs[0][0].startswith("N=20  median KL: MM=")
+
     def test_unwritable_output_exits_5(self, tmp_path):
         res = run_cli("benchmark", "--sizes", "40", "--sims", "2",
                       "--seed", "1", "--out", "/nonexistent-dir/x.csv")
@@ -690,3 +738,64 @@ class TestCurves:
                       "--seed", "0", "--grid-lo", "5", "--grid-hi", "2",
                       "--out", str(tmp_path / "c.csv"))
         assert res.returncode == 2
+
+
+ENOSPC_LINE = "invgamma: cannot write stdout: [Errno 28] No space left on device\n"
+
+
+class _FullStdout(io.TextIOBase):
+    """A stdout on a full device: every write raises ENOSPC."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def fileno(self) -> int:
+        return self._fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestStdoutWriteFailure:
+    @pytest.mark.parametrize("args", [
+        ["sample", "--alpha", "10", "--beta", "25", "--n", "5"],
+        ["kl", "--p-alpha", "3", "--p-beta", "2", "--q-alpha", "3",
+         "--q-beta", "4"],
+        ["fit", "--estimator", "ml1"],
+        ["benchmark", "--sizes", "20", "--sims", "3", "--estimators", "MM",
+         "--out", "{tmp}/r.csv"],
+        ["bias", "--sizes", "20", "--sims", "3", "--estimators", "MM",
+         "--out", "{tmp}/r.csv"],
+        ["curves", "--alpha", "10", "--beta", "25", "--n", "20",
+         "--out", "{tmp}/c.csv"],
+    ])
+    def test_exits_5_in_one_line(self, args, tmp_path, monkeypatch):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        err = io.StringIO()
+        try:
+            monkeypatch.setattr(sys, "stdout", _FullStdout(fd))
+            monkeypatch.setattr(sys, "stdin", io.StringIO("0.5\n1.2\n0.8\n"))
+            with contextlib.redirect_stderr(err):
+                code = cli.main([a.replace("{tmp}", str(tmp_path))
+                                 for a in args])
+            # The interpreter's exit flush goes to devnull, so cannot fail.
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert (code, err.getvalue()) == (5, ENOSPC_LINE)
+
+    @pytest.mark.parametrize("exc", [
+        BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN)),
+        OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)),
+    ])
+    def test_failed_fork_is_no_output_failure(self, exc, tmp_path,
+                                               monkeypatch):
+        # What a sweep's pool raises when it cannot fork propagates as is.
+        def fail(cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_kl_experiment", fail)
+        with pytest.raises(OSError) as info:
+            cli.main(["benchmark", "--sizes", "20", "--sims", "3",
+                      "--out", str(tmp_path / "r.csv")])
+        assert info.value is exc

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invgamma import (
@@ -472,6 +472,36 @@ class TestScaleEquivariance:
         for r1, r2 in fits:
             assert r2.params.alpha == pytest.approx(r1.params.alpha, rel=1e-9)
             assert r2.params.beta == pytest.approx(5.0 * r1.params.beta, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(0.6, 50.0), log_beta=st.floats(-5.0, 5.0),
+           n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1),
+           j=st.integers(-400, 400))
+    def test_powers_of_two(self, alpha, log_beta, n, seed, j):
+        # Scaling by 2**j is exact on normal values, so the moments scale
+        # exactly and MM keeps every bit.  ML1/ML2 see log x + j*log 2,
+        # which rounds by about eps*|mean log x|; their shape solves
+        # log mean(1/x) + mean log x ~ 1/(2*alpha), so that rounding moves
+        # alpha by a relative 2*alpha*eps*|mean log x|: 1e-6 when n = 2
+        # near-equal values give an alpha in the millions.  BL1/BL2 are
+        # left out: their priors are in absolute units.
+        x = sample(InvGammaParams(alpha, math.exp(log_beta)), n,
+                   np.random.default_rng(seed))
+        y = np.ldexp(x, j)
+        tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+        assume(all(((v >= tiny) & (v <= huge)).all() for v in (x, y)))
+        s1, s2 = compute_stats(x), compute_stats(y)
+        r1, r2 = fit_mm(s1), fit_mm(s2)
+        assert r2.params.alpha == r1.params.alpha
+        assert r2.params.beta == math.ldexp(r1.params.beta, j)
+        eps = np.finfo(np.float64).eps
+        for fit in (fit_ml1, fit_ml2):
+            r1, r2 = fit(s1), fit(s2)
+            rel = 1e-10 + 8 * eps * r1.params.alpha * (abs(s1.mean_log)
+                                                      + abs(s2.mean_log))
+            assert r2.params.alpha == pytest.approx(r1.params.alpha, rel=rel)
+            assert r2.params.beta == pytest.approx(
+                math.ldexp(r1.params.beta, j), rel=rel)
 
 
 class TestFixedPointIdentity:

@@ -123,6 +123,12 @@ class TestRecords:
         assert (_records_without_runtime(shuffled)
                 == _records_without_runtime(ordered))
 
+    def test_config_holds_output_order(self):
+        cfg = ExperimentConfig(sizes=(50, 20, 30),
+                               estimators=("BL2", "MM", "ML1"))
+        assert cfg.sizes == (20, 30, 50)
+        assert cfg.estimators == ("MM", "ML1", "BL2")
+
     def test_failures_recorded_not_fatal(self):
         cfg = ExperimentConfig(sizes=(30,), sims_per_size=3, base_seed=1,
                                estimators=("MM", "BL2"),
@@ -361,6 +367,12 @@ class TestCsv:
             assert abs(a.mean_bias_beta - b.mean_bias_beta) <= 1e-12
             assert abs(a.std_bias_beta - b.std_bias_beta) <= 1e-12
 
+    def test_aggregates_keep_record_order(self, small_records):
+        keys = [(a.N, a.estimator) for a in aggregate_bias(small_records)]
+        assert keys == [(n, e) for n in SMALL.sizes for e in ESTIMATORS]
+        backwards = aggregate_bias(small_records[::-1])
+        assert [(a.N, a.estimator) for a in backwards] == keys[::-1]
+
     def test_bias_csv(self, small_records, tmp_path):
         path = tmp_path / "bias.csv"
         write_bias_csv(aggregate_bias(small_records), str(path))
@@ -502,6 +514,15 @@ class TestWilcoxonRankSum:
             wilcoxon_rank_sum([], [1.0] * 12)
         with pytest.raises(ValueError):
             wilcoxon_rank_sum([1.0, 2.0], [3.0, 4.0])
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([math.nan] * 6, [1.0, 2.0, 3.0, 4.0, 5.0]),
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0, math.nan]),
+    ])
+    def test_nan_refused(self, xs, ys):
+        # A NaN has no rank, so no p-value can be taken with one.
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_rank_sum(xs, ys)
 
 
 @pytest.fixture(scope="module")
