@@ -3,8 +3,11 @@
 Subcommands: fit, sample, kl, benchmark, bias, curves.  Exit codes:
 0 success, 2 malformed input or bad parameters, 3 non-positive sample
 value, 4 estimator failure, 5 output I/O failure or a failed stdout
-write.  ``main`` maps exceptions to these codes; a command catches only
-what needs its context (an input line number, an output path).
+write.  Commands return nothing and raise on failure; ``main`` alone
+prints the one ``invgamma:`` line and picks the code.  A command raises
+``ValueError`` for a bad parameter, or ``_Exit`` where the code depends
+on its context: an input line, the input file, ``--strict``, an output
+path.
 """
 
 import argparse
@@ -55,8 +58,13 @@ from .harness import (
 _EMIT_CHUNK = 65536
 
 
-def _err(msg: str) -> None:
-    print(f"invgamma: {msg}", file=sys.stderr)
+class _Exit(Exception):
+    """Exit ``code`` with ``msg``, for a failure whose code a command
+    knows better than the exception's type does."""
+
+    def __init__(self, code: int, msg: str):
+        super().__init__(msg)
+        self.code = code
 
 
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
@@ -165,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_lines(lines, first_lineno: int) -> np.ndarray:
-    """Parse line by line, skipping blank lines; raise ``_InputError``
+    """Parse line by line, skipping blank lines; raise ``_Exit``
     naming the first bad line, numbered from ``first_lineno``."""
     values = []
     for lineno, line in enumerate(lines, start=first_lineno):
@@ -175,9 +183,9 @@ def _parse_lines(lines, first_lineno: int) -> np.ndarray:
         try:
             v = float(text)
         except ValueError:
-            raise _InputError(2, f"line {lineno}: not a number: {text!r}")
+            raise _Exit(2, f"line {lineno}: not a number: {text!r}")
         if not math.isfinite(v) or v <= 0.0:
-            raise _InputError(3, f"line {lineno}: non-positive value {text}")
+            raise _Exit(3, f"line {lineno}: non-positive value {text}")
         values.append(v)
     return np.array(values, dtype=np.float64)
 
@@ -208,22 +216,12 @@ def _read_sample(path: str) -> np.ndarray:
     return np.concatenate(parts or [np.empty(0)])
 
 
-class _InputError(Exception):
-    def __init__(self, code: int, msg: str):
-        super().__init__(msg)
-        self.code = code
-
-
-class _OutputError(Exception):
-    """An output file that could not be written; ``main`` exits 5."""
-
-
 def _write(write, rows, flag: str, path: str) -> None:
     """``write(rows, path)``; a failure names ``flag`` and ``path`` only."""
     try:
         write(rows, path)
     except OSError as exc:
-        raise _OutputError(f"cannot write {flag} {path}: {exc.strerror}")
+        raise _Exit(5, f"cannot write {flag} {path}: {exc.strerror}")
 
 
 def _fit_options_from_args(args) -> FitOptions:
@@ -246,24 +244,19 @@ def _config_from_args(args) -> ExperimentConfig:
     )
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> None:
     try:
         data = _read_sample(args.input)
-    except _InputError as exc:
-        _err(str(exc))
-        return exc.code
-    except OSError as exc:
-        _err(str(exc))
-        return 2
+    except OSError as exc:  # in main, an OSError is a stdout failure
+        raise _Exit(2, str(exc))
     name = args.estimator.upper()
     # Bad options exit 2 before an empty sample can exit 4.
     options = _fit_options_from_args(args)
     stats = compute_stats(data)
     report = fit_by_name(name, stats, options)
     if args.strict and not report.converged:
-        _err(f"{name} did not converge within {args.max_iter} iterations "
-             f"(residual {report.residual:g})")
-        return 4
+        raise _Exit(4, f"{name} did not converge within {args.max_iter} "
+                       f"iterations (residual {report.residual:g})")
     fields = {
         "alpha": report.params.alpha,
         "beta": report.params.beta,
@@ -286,37 +279,32 @@ def cmd_fit(args) -> int:
                 print(f"{key}={fmt_float(val)}")
             else:
                 print(f"{key}={val}")
-    return 0
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> None:
     if args.n < 0:
-        _err(f"--n must be >= 0, got {args.n}")
-        return 2
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     p = InvGammaParams(args.alpha, args.beta)
     with np.errstate(divide="ignore", over="ignore"):
         x = sample(p, args.n, np.random.default_rng(args.seed))
     if not ((x > 0.0).all() and np.isfinite(x).all()):
-        _err(f"alpha={args.alpha:g}, beta={args.beta:g}: draws fall outside "
-             f"the positive finite float64 range")
-        return 2
+        raise ValueError(f"alpha={args.alpha:g}, beta={args.beta:g}: draws "
+                         f"fall outside the positive finite float64 range")
     for lo in range(0, x.size, _EMIT_CHUNK):
         chunk = tuple(x[lo:lo + _EMIT_CHUNK].tolist())
         # One C formatting call per chunk, with fmt_float's "%.17g" bytes.
         sys.stdout.write(("%.17g\n" * len(chunk)) % chunk)
-    return 0
 
 
-def cmd_kl(args) -> int:
+def cmd_kl(args) -> None:
     p = InvGammaParams(args.p_alpha, args.p_beta)
     q = InvGammaParams(args.q_alpha, args.q_beta)
     try:
         kl = kl_divergence(p, q)
     except OverflowError as exc:
-        _err(f"KL divergence out of float64 range for these shapes ({exc})")
-        return 2
+        raise ValueError(
+            f"KL divergence out of float64 range for these shapes ({exc})")
     print(fmt_float(kl))
-    return 0
 
 
 def _print_kl_summary(cfg: ExperimentConfig, records) -> None:
@@ -338,7 +326,7 @@ def _print_kl_summary(cfg: ExperimentConfig, records) -> None:
             print(f"N={size}  rank-sum p: {'  '.join(pvals)}")
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args) -> None:
     cfg = _config_from_args(args)
     records = run_kl_experiment(cfg)
     _write(write_records_csv, records, "--out", args.out)
@@ -346,10 +334,9 @@ def cmd_benchmark(args) -> int:
     if excluded:
         print(f"excluded {excluded} failed fits from summaries")
     _print_kl_summary(cfg, records)
-    return 0
 
 
-def cmd_bias(args) -> int:
+def cmd_bias(args) -> None:
     cfg = _config_from_args(args)
     records = run_kl_experiment(cfg)
     aggregates = aggregate_bias(records)
@@ -362,13 +349,11 @@ def cmd_bias(args) -> int:
         print(f"{a.N} {a.estimator} {a.n_used} {a.n_failed} "
               f"{a.mean_bias_alpha:.6g} {a.std_bias_alpha:.6g} "
               f"{a.mean_bias_beta:.6g} {a.std_bias_beta:.6g}")
-    return 0
 
 
-def cmd_curves(args) -> int:
+def cmd_curves(args) -> None:
     if args.n < 0 or args.grid_points < 2 or not args.grid_lo < args.grid_hi:
-        _err("need n >= 0, grid-points >= 2 and grid-lo < grid-hi")
-        return 2
+        raise ValueError("need n >= 0, grid-points >= 2 and grid-lo < grid-hi")
     truth = InvGammaParams(args.alpha, args.beta)
     scale_prior = ScaleGammaPrior(args.prior_d, args.prior_e)
     rng = np.random.default_rng(args.seed)
@@ -385,7 +370,6 @@ def cmd_curves(args) -> int:
         seen.setdefault(label, ah)
     for label, ah in seen.items():
         print(f"{label}  alpha_hat={ah:.6g}")
-    return 0
 
 
 _COMMANDS = {
@@ -401,19 +385,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
         sys.stdout.flush()
-        return code
+        return 0
+    except _Exit as exc:
+        code, msg = exc.code, str(exc)
     except (DegenerateSampleError, InsufficientDataError,
             InvalidPosteriorError) as exc:  # two of them are ValueErrors
-        _err(str(exc))
-        return 4
+        code, msg = 4, str(exc)
     except ValueError as exc:
-        _err(str(exc))
-        return 2
-    except _OutputError as exc:
-        _err(str(exc))
-        return 5
+        code, msg = 2, str(exc)
     except OSError as exc:
         # A failed fork of a sweep's pool is no output failure.
         if isinstance(exc, BlockingIOError) or exc.errno == errno.ENOMEM:
@@ -421,10 +402,11 @@ def main(argv=None) -> int:
         # A stdout write failed; devnull takes the exit flush, which
         # would fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        _err("stdout closed before all output was written"
-             if isinstance(exc, BrokenPipeError)  # the reader left
-             else f"cannot write stdout: {exc}")
-        return 5
+        code, msg = 5, ("stdout closed before all output was written"
+                        if isinstance(exc, BrokenPipeError)  # the reader left
+                        else f"cannot write stdout: {exc}")
+    print(f"invgamma: {msg}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

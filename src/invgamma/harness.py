@@ -22,7 +22,7 @@ records do not depend on the number of workers.  Single fits
 
 import math
 import os
-import tempfile
+import stat
 import threading
 import time
 from dataclasses import dataclass
@@ -394,10 +394,26 @@ def fmt_float(v: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` whole or not at all: to a temp file, then renamed
+    over ``path``.  A target that exists and is not a regular file (a
+    symlink, FIFO or device) is written in place, as a rename would
+    replace it.  The mode is ``open(path, "w")``'s: 0o666 less the umask
+    for a new file, the old mode for an existing one."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

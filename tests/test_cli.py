@@ -387,9 +387,9 @@ def read_sample_reference(lines) -> np.ndarray:
         try:
             v = float(text)
         except ValueError:
-            raise cli._InputError(2, f"line {lineno}: not a number: {text!r}")
+            raise cli._Exit(2, f"line {lineno}: not a number: {text!r}")
         if not math.isfinite(v) or v <= 0.0:
-            raise cli._InputError(3, f"line {lineno}: non-positive value {text}")
+            raise cli._Exit(3, f"line {lineno}: non-positive value {text}")
         values.append(v)
     return np.array(values, dtype=np.float64)
 
@@ -407,7 +407,7 @@ class _LineIterable:
 def _outcome(read, lines):
     try:
         return "ok", read(_LineIterable(lines))
-    except cli._InputError as exc:
+    except cli._Exit as exc:
         return "error", exc.code, str(exc)
 
 
@@ -763,6 +763,31 @@ class TestUnwritableOutput:
         assert not os.path.exists(self.BAD)
         assert [p.name for p in tmp_path.iterdir()] == (
             ["r.csv"] if flag == "--agg-out" else [])
+
+
+class TestUnreadableInput:
+    """``cmd_fit`` maps an ``OSError`` from ``--input`` to exit 2; ``main``
+    would take it for a stdout failure, exit 5 and send stdout to devnull."""
+
+    @pytest.mark.parametrize("name, code", [("missing.txt", errno.ENOENT),
+                                            ("dir", errno.EISDIR)])
+    def test_exits_2_and_keeps_stdout(self, name, code, tmp_path,
+                                       monkeypatch):
+        path = tmp_path / name
+        if code == errno.EISDIR:
+            path.mkdir()
+        out_path = tmp_path / "stdout"
+        err = io.StringIO()
+        with open(out_path, "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            with contextlib.redirect_stderr(err):
+                exit_code = cli.main(["fit", "--estimator", "ml1",
+                                      "--input", str(path)])
+            assert os.path.samestat(os.fstat(out.fileno()),
+                                    os.stat(out_path))
+        assert (exit_code, out_path.read_text(), err.getvalue()) == (
+            2, "", f"invgamma: [Errno {code}] {os.strerror(code)}: "
+                   f"{str(path)!r}\n")
 
 
 ENOSPC_LINE = "invgamma: cannot write stdout: [Errno 28] No space left on device\n"

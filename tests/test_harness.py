@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -432,6 +433,49 @@ class TestCsv:
             assert cli.main(["bias", *args.split(), "--out",
                              str(tmp_path / "raw.csv"), "--agg-out", str(path)]) == 0
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestAtomicWrite:
+    """A CSV replaces a regular file by a rename; any other target is
+    written in place, and the mode is what ``open(path, "w")`` gives."""
+
+    def test_symlink_stays_and_its_target_holds_the_csv(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert cli.main(["benchmark", "--sizes", "20", "--sims", "3",
+                         "--estimators", "MM", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().splitlines()[0] == RECORDS_CSV_HEADER
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.csv", "target.csv"]
+
+    def test_fifo_stays_a_fifo(self, tmp_path):
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        harness._atomic_write(str(fifo), "a,b\n1,2\n")
+        reader.join(timeout=10)
+        assert got == ["a,b\n1,2\n"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_mode_follows_umask_or_existing_file(self, tmp_path):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("old\n")
+        old.chmod(0o604)
+        mask = os.umask(0o027)
+        try:
+            harness._atomic_write(str(new), "a\n")
+            harness._atomic_write(str(old), "b\n")
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+        assert stat.S_IMODE(old.stat().st_mode) == 0o604
+        assert (new.read_text(), old.read_text()) == ("a\n", "b\n")
 
 
 class TestBiasExperiment:
