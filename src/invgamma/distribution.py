@@ -66,18 +66,43 @@ def moments(p: InvGammaParams) -> tuple[float, float]:
     return mean(p), variance(p)
 
 
-# Pairs per acceptance block: bounds the mask temporaries, so a 1e6-draw
-# call peaks near the size of its two input arrays.
-_BLOCK = 65536
+# Pairs per acceptance block: a long row runs in blocks, and short rows
+# share one (see ``_rows_per_block``).  It bounds the mask temporaries, so a
+# 1e6-draw call peaks near the size of its two input arrays.  Their 64 KiB
+# stay in the allocator's heap: with 16384 pairs and more (128 KiB and up),
+# blocks of 3 to 24 rows at N = 2500 and 5000 drew slower than one row at
+# a time, as glibc returned their pages to the system and faulted them in
+# again.
+_BLOCK = 8192
+
+
+def _round_pairs(want: int) -> int:
+    """Pairs a round draws when ``want`` values are still missing."""
+    return want + (want >> 4) + 16
+
+
+def _rows_per_block(n: int) -> int:
+    """Rows of ``n`` draws whose first rounds fit in one block (at least 1)."""
+    return max(1, _BLOCK // _round_pairs(n))
+
+
+def _shape_constants(alpha: float) -> tuple[float, float]:
+    """Marsaglia-Tsang's d and c; shape < 1 is drawn at shape + 1."""
+    d = (alpha if alpha >= 1.0 else alpha + 1.0) - 1.0 / 3.0
+    return d, 1.0 / math.sqrt(9.0 * d)
 
 
 def _gamma_mt_accept(z, u, d, c):
     """Marsaglia-Tsang (2000) draws from one block of (normal, uniform)
-    pairs, in pair order: the v > 0 mask, then the squeeze test, then the
-    log test log u < z²/2 + d(1 - v + log v) for the live pairs the
-    squeeze rejects, with the C library's log, as the scalar loop decides
-    it.  So the stream is the same on every host.  A uniform of exactly 0
-    is accepted, as log 0 = -inf."""
+    pairs: the v > 0 mask, then the squeeze test, then the log test
+    log u < z²/2 + d(1 - v + log v) for the live pairs the squeeze rejects,
+    with the C library's log, as the scalar loop decides it.  So the stream
+    is the same on every host.  A uniform of exactly 0 is accepted, as
+    log 0 = -inf.
+
+    ``z`` and ``u`` are one row with float ``d`` and ``c``, or rows with
+    ``d`` and ``c`` as (rows, 1) columns.  Returns the accepted draws d v³,
+    row after row in pair order, and the accept mask."""
     v = 1.0 + c * z
     live = v > 0.0
     v = v * v * v
@@ -85,41 +110,72 @@ def _gamma_mt_accept(z, u, d, c):
     # The squeeze never accepts a dead pair: v <= 0 needs z <= -1/c,
     # and -1/c <= -sqrt(6) (d >= 2/3) makes 1 - 0.0331 z⁴ negative.
     accept = u < 1.0 - 0.0331 * z2 * z2
-    rest = (live > accept).nonzero()[0]
+    rest = (live > accept).ravel().nonzero()[0]
     if rest.size:
-        vr = v[rest]
+        vr = v.ravel()[rest]
+        dr = d if z.ndim == 1 else d[rest // z.shape[1], 0]
         with np.errstate(divide="ignore"):
-            accept[rest] = (_clog(u[rest])
-                            < 0.5 * z2[rest] + d * (1.0 - vr + _clog(vr)))
-    return d * v[accept]
+            accept.ravel()[rest] = (
+                _clog(u.ravel()[rest])
+                < 0.5 * z2.ravel()[rest] + dr * (1.0 - vr + _clog(vr)))
+    v *= d
+    return v[accept], accept
 
 
-def _standard_gamma(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n unit-rate Gamma(alpha) draws; shape < 1 via the power boost.
-
-    Each round draws ``m`` normals, then ``m`` uniforms, and keeps the
-    first accepted values it still needs; leftover pairs are discarded.
-    """
-    base = alpha if alpha >= 1.0 else alpha + 1.0
-    d = base - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n, dtype=np.float64)
-    filled = 0
+def _fill_row(out: np.ndarray, filled: int, d: float, c: float,
+              rng: np.random.Generator) -> None:
+    """Fill ``out[filled:]`` with unit-rate Gamma draws, round by round:
+    each round draws m normals, then m uniforms, tests them in blocks of
+    ``_BLOCK`` pairs and keeps the first accepted values it still needs;
+    leftover pairs are discarded."""
+    n = out.size
     while filled < n:
-        want = n - filled
-        m = want + (want >> 4) + 16
+        m = _round_pairs(n - filled)
         normals = rng.standard_normal(m)
         uniforms = rng.random(m)
         for lo in range(0, m, _BLOCK):
             got = _gamma_mt_accept(normals[lo:lo + _BLOCK],
-                                   uniforms[lo:lo + _BLOCK], d, c)
+                                   uniforms[lo:lo + _BLOCK], d, c)[0]
             take = min(got.size, n - filled)
             out[filled:filled + take] = got[:take]
             filled += take
             if filled == n:
                 break
-    if alpha < 1.0 and n > 0:
-        out *= rng.random(n) ** (1.0 / alpha)
+
+
+def _standard_gamma(alphas, n: int, rngs) -> np.ndarray:
+    """Unit-rate Gamma draws, one row of ``n`` per generator: row i holds
+    Gamma(alphas[i]) drawn from ``rngs[i]``, bit for bit as one row alone
+    draws it; shape < 1 via the power boost.
+
+    Several rows (as many as ``_rows_per_block`` allows) draw their first
+    rounds from their own generators, in the one-row order, and run the
+    tests as one block; each takes its first ``n`` accepted values, and a
+    row left short refills on its own generator.
+    """
+    rows = len(rngs)
+    out = np.empty((rows, n), dtype=np.float64)
+    consts = [_shape_constants(a) for a in alphas]
+    filled = [0] * rows  # accepted values per row
+    if rows > 1 and n > 0:
+        m = _round_pairs(n)
+        z = np.array([rng.standard_normal(m) for rng in rngs])
+        u = np.array([rng.random(m) for rng in rngs])
+        d, c = np.array(consts).T[:, :, None]
+        got, accept = _gamma_mt_accept(z, u, d, c)
+        if got.size:
+            counts = np.count_nonzero(accept, axis=1)
+            starts = np.cumsum(counts) - counts
+            # A short row's tail reads later rows' draws; its refill
+            # overwrites them.
+            np.take(got, starts[:, None] + np.arange(n), out=out, mode="clip")
+            filled = counts.tolist()
+    for i, got_i in enumerate(filled):
+        if got_i < n:
+            _fill_row(out[i], got_i, *consts[i], rngs[i])
+    for i, alpha in enumerate(alphas):
+        if alpha < 1.0 and n > 0:
+            out[i] *= rngs[i].random(n) ** (1.0 / alpha)
     return out
 
 
@@ -132,7 +188,7 @@ def sample(p: InvGammaParams, n: int, rng: np.random.Generator) -> np.ndarray:
     n = int(n)
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
-    return p.beta / _standard_gamma(p.alpha, n, rng)
+    return p.beta / _standard_gamma((p.alpha,), n, (rng,))[0]
 
 
 def expect_log_x(p: InvGammaParams) -> float:

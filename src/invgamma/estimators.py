@@ -175,30 +175,40 @@ class FitReport:
     posterior: LaplaceSummary | None = None
 
 
-def compute_stats(x) -> SufficientStats:
-    """Reduce a positive sample to its sufficient statistics.
-
-    Variance is the two-pass n-1 estimator; NaN when n < 2.  The logs are
+def _row_stats(x: np.ndarray) -> tuple:
+    """Mean, n-1 variance (NaN when n < 2), sum(1/x), sum(log x) and mean
+    log of each row of a 2-d array, each row with the bits of one row
+    alone: numpy's pairwise sums along the row and one BLAS dot per row
+    (an ``einsum`` or a sum of squares rounds otherwise).  The logs are
     the C library's, so ``sum_log`` does not depend on the host's SIMD.
-    Values near the limits of float64 can overflow a statistic to inf
-    without a warning; the fitters then raise ``DegenerateSampleError``.
+    """
+    n = x.shape[1]
+    with np.errstate(over="ignore", divide="ignore"):
+        mu = x.mean(axis=1)
+        if n >= 2:
+            dev = x - mu[:, None]
+            var = np.fromiter(map(np.dot, dev, dev), np.float64,
+                              len(dev)) / (n - 1)
+        else:
+            var = np.full(len(x), math.nan)
+        sum_inv = np.sum(1.0 / x, axis=1)
+        sum_log = np.sum(_clog(x.ravel()).reshape(x.shape), axis=1)
+    return mu, var, sum_inv, sum_log, sum_log / n
+
+
+def compute_stats(x) -> SufficientStats:
+    """Reduce a positive sample to its sufficient statistics (see
+    ``_row_stats``).  Values near the limits of float64 can overflow a
+    statistic to inf without a warning; the fitters then raise
+    ``DegenerateSampleError``.
     """
     arr = np.asarray(x, dtype=np.float64).ravel()
     if arr.size < 1:
         raise InsufficientDataError("need at least one sample")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("samples must be finite and > 0")
-    n = int(arr.size)
-    with np.errstate(over="ignore", divide="ignore"):
-        mu = float(arr.mean())
-        if n >= 2:
-            dev = arr - mu
-            var = float(np.dot(dev, dev) / (n - 1))
-        else:
-            var = math.nan
-        sum_inv = float(np.sum(1.0 / arr))
-        sum_log = float(np.sum(_clog(arr)))
-    return SufficientStats(n, mu, var, sum_inv, sum_log, sum_log / n)
+    return SufficientStats(int(arr.size),
+                           *(float(col[0]) for col in _row_stats(arr[None])))
 
 
 def _mm_alpha(stats: SufficientStats) -> float:

@@ -14,15 +14,18 @@ is that call's wall time over its number of fits.  Each size's rows of
 that ``BatchFit`` are scored by one array ``kl_divergence`` call against
 the size's truths, and its records are built from those columns.  With
 more than one CPU, forked workers draw each size in contiguous shards of
-simulations, then run the ``fit_batch`` calls; every simulation has its
-own seed and every fit is independent of its batch companions, so the
-records do not depend on the number of workers.  Single fits
-(``fit_by_name``, ``invgamma fit``) run the scalar ``fit_*``.
+simulations, then run the ``fit_batch`` calls.  A shard draws and reduces
+its simulations in chunks of rows, one array of at most
+``distribution._BLOCK`` pairs per chunk, not one sample at a time.  Every
+simulation has its own seed and every fit is independent of its batch
+companions, so the records do not depend on the number of workers.
+Single fits (``fit_by_name``, ``invgamma fit``) run the scalar ``fit_*``.
 """
 
 import math
 import os
 import stat
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -32,7 +35,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import InvGammaParams, kl_divergence, sample
+# sample and compute_stats are not called here; layerbench/spans.py wraps
+# these names.
+from .distribution import (
+    _rows_per_block,
+    _standard_gamma,
+    kl_divergence,
+    sample,
+)
 from .estimators import (  # fit_mm .. fit_bl2: see fit_by_name
     ESTIMATORS,
     FitOptions,
@@ -50,6 +60,7 @@ from .estimators import (  # fit_mm .. fit_bl2: see fit_by_name
     fit_ml2,
     fit_mm,
     _bl1_constants,
+    _row_stats,
     _spec,
     scale_posterior,
 )
@@ -155,18 +166,25 @@ def fit_by_name(name: str, stats: SufficientStats,
         stats, *(getattr(options, field) for field in fields))
 
 
-def _draw_stats(cfg: ExperimentConfig, size: int, sim: int) -> tuple:
-    """Truth alpha and beta and the six ``SufficientStats`` fields of one
-    simulation, drawn from its own seed."""
-    rng = child_rng(cfg.base_seed, size, sim)
-    p = InvGammaParams(rng.uniform(*ALPHA_RANGE), rng.uniform(*BETA_RANGE))
-    s = compute_stats(sample(p, size, rng))
-    return p.alpha, p.beta, s.n, s.mean, s.var, s.sum_inv, s.sum_log, s.mean_log
-
-
-def _draw_shard(cfg: ExperimentConfig, size: int, sims: range) -> list:
-    """``_draw_stats`` of each sim in ``sims``; a draw worker's task."""
-    return [_draw_stats(cfg, size, sim) for sim in sims]
+def _draw_shard(cfg: ExperimentConfig, size: int, sims: range) -> np.ndarray:
+    """Truth alpha and beta and the six ``SufficientStats`` fields of each
+    sim in ``sims``, one column per sim; a draw worker's task.  Each sim
+    draws from its own seed, with the bits of ``sample`` and
+    ``compute_stats``; the samples are drawn and reduced in chunks of rows
+    whose first rounds hold at most ``distribution._BLOCK`` pairs (one row
+    above that)."""
+    out = np.empty((8, len(sims)))
+    out[2] = size
+    step = _rows_per_block(size)
+    for lo in range(0, len(sims), step):
+        rngs = [child_rng(cfg.base_seed, size, sim)
+                for sim in sims[lo:lo + step]]
+        cols = slice(lo, lo + len(rngs))
+        out[:2, cols] = np.array([(rng.uniform(*ALPHA_RANGE),
+                                   rng.uniform(*BETA_RANGE)) for rng in rngs]).T
+        gammas = _standard_gamma(out[0, cols].tolist(), size, rngs)
+        out[3:, cols] = _row_stats(out[1, cols, None] / gammas)
+    return out
 
 
 def _timed_fit(name: str, batch: StatsBatch, options: FitOptions):
@@ -217,7 +235,7 @@ def _sweep(cfg: ExperimentConfig, submit, workers: int) -> list:
     k, n = cfg.sims_per_size, min(workers, cfg.sims_per_size)
     draws = [submit(_draw_shard, cfg, size, range(k * i // n, k * (i + 1) // n))
              for size in cfg.sizes for i in range(n)]
-    cols = np.array([row for draw in draws for row in draw()]).T.copy()
+    cols = np.concatenate([draw() for draw in draws], axis=1)
     batch = StatsBatch(*cols[2:])
     tasks = [(name, submit(_timed_fit, name, batch, cfg.fit))
              for name in cfg.estimators]
@@ -229,16 +247,18 @@ def _sweep(cfg: ExperimentConfig, submit, workers: int) -> list:
 def run_kl_experiment(cfg: ExperimentConfig) -> list[SimulationRecord]:
     """All simulation records, in (N, sim, estimator table) order.
 
-    Each sample is drawn and reduced on its own, so no sims x N matrix is
-    held; each estimator fits all sims of all sizes in one ``fit_batch``
-    call.  With ``_fit_workers(cfg)`` > 1, the ``fork`` start method
-    available and no other thread running, forked workers draw each size
-    in one contiguous shard of sims per worker, then run one fit per
-    estimator; else both run here, one shard per size.  KL and records
-    are built here.  ``runtime_s`` is an estimator's ``fit_batch`` wall
-    time, measured in the process that ran it, divided by its fits over
-    all sizes.  A fit whose scalar version raises a domain error becomes a
-    converged=False row with NaN estimates; other errors propagate.
+    Samples are drawn and reduced in chunks of at most
+    ``distribution._BLOCK`` pairs (see ``_draw_shard``), so no sims x N
+    matrix is held; each estimator fits all sims of all sizes in one
+    ``fit_batch`` call.  With ``_fit_workers(cfg)`` > 1, the ``fork``
+    start method available and no other thread running, forked workers
+    draw each size in one contiguous shard of sims per worker, then run
+    one fit per estimator; else both run here, one shard per size.  KL
+    and records are built here.  ``runtime_s`` is an estimator's
+    ``fit_batch`` wall time, measured in the process that ran it, divided
+    by its fits over all sizes.  A fit whose scalar version raises a
+    domain error becomes a converged=False row with NaN estimates; other
+    errors propagate.
     """
     workers = _fit_workers(cfg)
     # No "fork" start method, or a thread that a forked child could inherit
@@ -393,16 +413,31 @@ def fmt_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether ``path`` names the file open on fd 1."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` whole or not at all: to a temp file, then renamed
-    over ``path``.  A target that exists and is not a regular file (a
-    symlink, FIFO or device) is written in place, as a rename would
-    replace it.  The mode is ``open(path, "w")``'s: 0o666 less the umask
-    for a new file, the old mode for an existing one."""
+    over ``path``.  The file open on stdout (``/dev/stdout``, or the file
+    stdout is redirected to) is written through ``sys.stdout``, so that
+    text printed before and after keeps its place.  Any other target that
+    exists and is not a regular file (a symlink, FIFO or device) is
+    written in place, as a rename would replace it.  The mode is
+    ``open(path, "w")``'s: 0o666 less the umask for a new file, the old
+    mode for an existing one."""
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
         mode = None
+    if mode is not None and _is_stdout(path):
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w") as fh:
             fh.write(text)

@@ -690,6 +690,34 @@ class TestBenchmark:
                 "--out", "/nonexistent-dir/x.csv")
         assert not os.path.exists("/nonexistent-dir/x.csv")
 
+    @pytest.mark.parametrize("into, out", [
+        ("file", "/dev/stdout"), ("pipe", "/dev/stdout"), ("file", "so.txt")])
+    def test_out_to_own_stdout_precedes_summary(self, into, out, tmp_path):
+        # --out names the file or pipe on fd 1: the CSV comes first and
+        # whole, then the summary, as with a separate CSV file.
+        args = ["benchmark", "--sizes", "20", "--sims", "12",
+                "--estimators", "MM,ML1"]
+        res = run_cli(*args, "--out", str(tmp_path / "sep.csv"))
+        assert res.returncode == 0 and res.stdout.startswith("N=20")
+        want = (tmp_path / "sep.csv").read_text() + res.stdout
+        # so.txt is the file stdout goes to; /dev/stdout stays absolute.
+        cmd = [sys.executable, "-m", "invgamma", *args,
+               "--out", os.path.join(tmp_path, out)]
+        if into == "file":
+            with open(tmp_path / "so.txt", "w") as fh:
+                code = subprocess.run(cmd, stdout=fh,
+                                      env=os.environ.copy()).returncode
+            got = (tmp_path / "so.txt").read_text()
+        else:
+            piped = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
+                                   env=os.environ.copy())
+            code, got = piped.returncode, piped.stdout
+        assert code == 0
+        strip = lambda text: [line.rsplit(",", 1)[0]
+                              for line in text.splitlines()]
+        assert got.count("\n") == want.count("\n") == 1 + 24 + 2
+        assert strip(got) == strip(want)
+
 
 class TestBias:
     def test_aggregate_table(self, tmp_path):

@@ -262,6 +262,66 @@ class TestSamplerStream:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+class DeadFirstRound:
+    """A generator whose first ``standard_normal`` call gives dead pairs
+    (normals below -1/c, so v = 1 + c z <= 0) except every ``stride``-th
+    (all dead for stride 0), so its row's first round falls short and
+    refills; later calls pass through."""
+
+    def __init__(self, seed, stride):
+        self.bit_generator = np.random.PCG64(seed)
+        self._rng = np.random.Generator(self.bit_generator)
+        self._stride, self._first = stride, True
+
+    def standard_normal(self, size):
+        z = self._rng.standard_normal(size)
+        if self._first:
+            dead = np.ones(size, dtype=bool)
+            if self._stride:
+                dead[::self._stride] = False
+            z[dead] = -1e3  # -1/c = -3 sqrt(d) > -1e3 for shapes <= 300
+            self._first = False
+        return z
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+# Row: generator seed, shape, and None for a plain generator or the
+# DeadFirstRound stride.
+ROWS = st.tuples(st.integers(0, 2 ** 32 - 1),
+                 st.one_of(st.floats(0.05, 1.0, exclude_max=True),
+                           st.floats(1.0, 300.0)),
+                 st.sampled_from([None, None, 8, 1 << 30, 0]))
+
+
+class TestRowSampler:
+    """Rows drawn together equal the one-row reference, row by row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(ROWS, min_size=1, max_size=8),
+           n=st.one_of(st.integers(0, 2), st.integers(3, 400)))
+    @example(rows=[(0, 2.5, None)], n=1)
+    @example(rows=[(1, 3.0, 8), (2, 0.4, None), (3, 10.0, 1 << 30),
+                   (4, 0.7, 0), (5, 5.0, None)], n=2)
+    @example(rows=[(6, 2.0, 0), (7, 0.5, 0)], n=1)
+    def test_rows_match_reference(self, rows, n):
+        def gen(seed, stride):
+            if stride is None:
+                return np.random.default_rng(seed)
+            return DeadFirstRound(seed, stride)
+
+        rngs = [gen(seed, stride) for seed, _, stride in rows]
+        refs = [gen(seed, stride) for seed, _, stride in rows]
+        alphas = [alpha for _, alpha, _ in rows]
+        got = distribution._standard_gamma(alphas, n, rngs)
+        assert got.shape == (len(rows), n)
+        for row, alpha, rng, ref in zip(got, alphas, rngs, refs):
+            want = sample_reference(InvGammaParams(alpha, 1.0), n, ref)
+            np.testing.assert_array_equal(1.0 / row, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def _gamma_mt_accept_parent(z, u, d, c):
     """Marsaglia-Tsang (2000) draws from one block of (normal, uniform)
     pairs, in pair order: the v > 0 mask, then the squeeze test, then the
@@ -344,7 +404,7 @@ class TestLogFilter:
     @given(block=mt_blocks())
     def test_matches_c_log_reference(self, block):
         with np.errstate(all="ignore"):
-            np.testing.assert_array_equal(_gamma_mt_accept(*block),
+            np.testing.assert_array_equal(_gamma_mt_accept(*block)[0],
                                           _gamma_mt_accept_parent(*block))
 
     @pytest.mark.parametrize("d", BOUNDARY_D)
@@ -353,7 +413,7 @@ class TestLogFilter:
         z, u, d, c = boundary_block(d)
         want = np.empty(z.size)
         k = _gamma_mt_fill_reference(want, 0, d, c, z, u)
-        np.testing.assert_array_equal(_gamma_mt_accept(z, u, d, c), want[:k])
+        np.testing.assert_array_equal(_gamma_mt_accept(z, u, d, c)[0], want[:k])
         assert 0 < k < z.size  # both answers occur
 
     def test_log_error_cannot_change_stream(self, monkeypatch):
@@ -378,7 +438,7 @@ class TestLogFilter:
                 sample_reference(p, n, np.random.default_rng(seed)))
         for d in BOUNDARY_D:
             block = boundary_block(d)
-            np.testing.assert_array_equal(_gamma_mt_accept(*block),
+            np.testing.assert_array_equal(_gamma_mt_accept(*block)[0],
                                           _gamma_mt_accept_parent(*block))
         assert not calls
 
@@ -397,7 +457,7 @@ class TestLogFilter:
             monkeypatch.setattr(distribution, "_clog", clog)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = _gamma_mt_accept(z, u, d, c)
+                got = _gamma_mt_accept(z, u, d, c)[0]
             np.testing.assert_array_equal(got, [d * (t * t * t)])
         with pytest.raises(ValueError):
             _gamma_mt_accept_parent(z, u, d, c)

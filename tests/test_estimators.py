@@ -44,7 +44,7 @@ from invgamma import (
     sample,
     trigamma,
 )
-from invgamma import specfun
+from invgamma import estimators, specfun
 from conftest import make_dataset
 
 FLAT_SHAPE = ShapePriorABC.with_a(1.0, 1e-8, 1e-8)
@@ -79,6 +79,27 @@ class TestSufficientStats:
             compute_stats([1.0, math.inf])
         with pytest.raises(InsufficientDataError):
             compute_stats([])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 9),
+           n=st.one_of(st.integers(1, 3), st.integers(4, 3000)),
+           scale=st.sampled_from([1.0, 1e-300, 1e300]))
+    def test_rows_reduce_as_one_row_alone(self, seed, rows, n, scale):
+        # Each row of the row reduction has the bits of the 1-d reduction:
+        # pairwise sums, one BLAS dot and the C library's logs, computed
+        # here row by row; overflowing statistics included.
+        x = scale * np.random.default_rng(seed).gamma(2.0, size=(rows, n))
+        x[x == 0.0] = 1.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            got = estimators._row_stats(x)
+            for i, a in enumerate(x.copy()):
+                mu = a.mean()
+                dev = a - mu
+                var = np.dot(dev, dev) / (n - 1) if n >= 2 else math.nan
+                sum_log = np.sum(np.fromiter(map(math.log, a.tolist()),
+                                             np.float64, n))
+                want = (mu, var, np.sum(1.0 / a), sum_log, sum_log / n)
+                np.testing.assert_array_equal([col[i] for col in got], want)
 
 
 class TestMethodOfMoments:

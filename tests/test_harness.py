@@ -52,6 +52,16 @@ from invgamma.harness import (
 
 SMALL = ExperimentConfig(sizes=(40, 80), sims_per_size=12, base_seed=77)
 
+_DRAW_SHARD = harness._draw_shard
+_DRAW_PIDS = []
+
+
+def _recording_draw_shard(*args):
+    # Module level, so a pool can pickle it by name; a forked worker
+    # appends to its own copy of the list.
+    _DRAW_PIDS.append(os.getpid())
+    return _DRAW_SHARD(*args)
+
 
 @pytest.fixture(scope="module")
 def small_records():
@@ -154,6 +164,17 @@ class TestRecords:
                        for line in records_to_csv(records).splitlines())
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "28aa6180624f94a4069a92d630d36327e6245dde9e54d3ca9225390e57fef202")
+
+    def test_row_chunk_digest(self):
+        # sha256 of the records CSV without runtime_s over n < 2 samples,
+        # chunks of several rows and a row longer than the sampler's block
+        # of pairs.  Pinned before draws were batched by rows.
+        records = run_kl_experiment(ExperimentConfig(
+            sizes=(1, 2, 700, 62000), sims_per_size=3))
+        text = "".join(line.rsplit(",", 1)[0] + "\n"
+                       for line in records_to_csv(records).splitlines())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "23ba7a0a3ff0fc62f2c96387fb9cfcc95a8095bced9a1730d1bf8451b2c45866")
 
     def test_programming_errors_propagate(self, monkeypatch):
         # Only the estimators' domain errors become NaN rows; a bug inside
@@ -292,18 +313,15 @@ class TestFitWorkers:
         cfg = self.CONFIGS["golden"]
         want = _records_without_runtime(run_kl_experiment(cfg))
         # A forked worker appends to its own copy of each list.
-        calls, draws = [], []
+        calls = []
+        _DRAW_PIDS.clear()
 
         def recording_fit_batch(*args):
             calls.append(os.getpid())
             return estimators.fit_batch(*args)
 
-        def recording_draw_stats(*args, _draw=harness._draw_stats):
-            draws.append(os.getpid())
-            return _draw(*args)
-
         monkeypatch.setattr(harness, "fit_batch", recording_fit_batch)
-        monkeypatch.setattr(harness, "_draw_stats", recording_draw_stats)
+        monkeypatch.setattr(harness, "_draw_shard", _recording_draw_shard)
         workers = 1 if setting == "one worker" else 2
         monkeypatch.setattr(harness, "_fit_workers", lambda cfg: workers)
         if setting == "no fork":
@@ -320,10 +338,10 @@ class TestFitWorkers:
                 thread.join(timeout=10)
         assert not thread.is_alive()
         assert got == want
-        # One fit_batch per estimator over both sizes and one draw per sim
-        # inline; none of either in this process when pooled.
+        # One fit_batch per estimator over both sizes and one draw shard per
+        # size inline; none of either in this process when pooled.
         assert calls == ([os.getpid()] * 5 if in_parent else [])
-        assert draws == ([os.getpid()] * 2 * 20 if in_parent else [])
+        assert _DRAW_PIDS == ([os.getpid()] * 2 if in_parent else [])
 
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
