@@ -39,11 +39,11 @@ from .harness import (
     DEFAULT_CURVE_VARIANTS,
     ESTIMATORS,
     ExperimentConfig,
-    aggregate_bias,
     emit_prior_posterior_curves,
     fit_by_name,
     fmt_float,
     kl_by_estimator,
+    run_bias_experiment,
     run_kl_experiment,
     wilcoxon_rank_sum,
     write_bias_csv,
@@ -337,9 +337,7 @@ def cmd_benchmark(args) -> None:
 
 
 def cmd_bias(args) -> None:
-    cfg = _config_from_args(args)
-    records = run_kl_experiment(cfg)
-    aggregates = aggregate_bias(records)
+    aggregates, records = run_bias_experiment(_config_from_args(args))
     _write(write_records_csv, records, "--out", args.out)
     if args.agg_out:
         _write(write_bias_csv, aggregates, "--agg-out", args.agg_out)

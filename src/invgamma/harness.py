@@ -10,15 +10,17 @@ tuple's field names, and each row is written by one ``%`` template.
 
 Sweeps run batched: each estimator fits all simulations of all sizes in
 one ``fit_batch`` call, bit-identical to the scalar fitters; ``runtime_s``
-is that call's wall time over its number of fits.  Each size's rows of
-that ``BatchFit`` are scored by one array ``kl_divergence`` call against
-the size's truths, and its records are built from those columns.  With
-more than one CPU, forked workers draw each size in contiguous shards of
-simulations, then run the ``fit_batch`` calls.  A shard draws and reduces
-its simulations in chunks of rows, one array of at most
-``distribution._BLOCK`` pairs per chunk, not one sample at a time.  Every
-simulation has its own seed and every fit is independent of its batch
-companions, so the records do not depend on the number of workers.
+is that call's wall time over its number of fits.  Each ``BatchFit`` is
+scored by one array ``kl_divergence`` call against the truths of every
+size, and the records are built from those columns in one pass.  With
+more than one CPU, the ``starmap`` of a ``fork`` ``multiprocessing.Pool``
+draws each size in contiguous shards of simulations, then runs the
+``fit_batch`` calls; else ``itertools.starmap`` runs both in this
+process.  A shard draws and reduces its simulations in chunks of rows,
+one array of at most ``distribution._BLOCK`` pairs per chunk, not one
+sample at a time.  Every simulation has its own seed and every fit is
+independent of its batch companions, so the records do not depend on
+the number of workers.
 Single fits (``fit_by_name``, ``invgamma fit``) run the scalar ``fit_*``.
 """
 
@@ -29,7 +31,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -194,7 +196,7 @@ def _timed_fit(name: str, batch: StatsBatch, options: FitOptions):
     return fit, time.perf_counter() - t0
 
 
-def _fit_workers(cfg: ExperimentConfig) -> int:
+def _fit_workers() -> int:
     """Worker processes for a sweep: one per usable CPU."""
     try:
         return len(os.sched_getaffinity(0))
@@ -202,46 +204,33 @@ def _fit_workers(cfg: ExperimentConfig) -> int:
         return os.cpu_count() or 1
 
 
-def _run_inline(fn, *args):
-    value = fn(*args)
-    return lambda: value
-
-
-def _size_records(size: int, rows: slice, truths, tasks):
-    """Records of one size, sim by sim across estimators, from its ``rows``
-    of the truths (alpha, beta) and of each ``BatchFit`` (NaN, 0 and False
-    on failed rows): one KL call and the two bias differences."""
-    truth = SimpleNamespace(alpha=truths[0, rows], beta=truths[1, rows])
-    sims = range(truth.alpha.size)
-    truth_cols = truth.alpha.tolist(), truth.beta.tolist()
-    per_estimator = []
-    for name, result in tasks:
-        fit, seconds = result()
-        est = SimpleNamespace(alpha=fit.alpha[rows], beta=fit.beta[rows])
-        cols = (est.alpha, est.beta, kl_divergence(truth, est),
-                est.alpha - truth.alpha, est.beta - truth.beta,
-                fit.iterations[rows], fit.converged[rows])
-        per_estimator.append(map(
-            SimulationRecord, repeat(size), sims, repeat(name), *truth_cols,
-            *(c.tolist() for c in cols), repeat(seconds / fit.alpha.size)))
-    return chain.from_iterable(zip(*per_estimator))
-
-
-def _sweep(cfg: ExperimentConfig, submit, workers: int) -> list:
+def _sweep(cfg: ExperimentConfig, starmap, workers: int) -> list:
     """Draw each size in contiguous shards of sims, at most one per worker
     and none empty; then fit every size at once, one ``fit_batch`` per
-    estimator.  ``submit`` returns a callable that waits for a task's
-    result.  Each size's records take that size's rows of every fit."""
+    estimator.  ``starmap(fn, args)`` runs ``fn(*a)`` for each ``a`` in
+    ``args`` and yields the results in order.  Every row of a fit is scored
+    by one KL call against the truths, and the records interleave the
+    estimators sim by sim."""
     k, n = cfg.sims_per_size, min(workers, cfg.sims_per_size)
-    draws = [submit(_draw_shard, cfg, size, range(k * i // n, k * (i + 1) // n))
-             for size in cfg.sizes for i in range(n)]
-    cols = np.concatenate([draw() for draw in draws], axis=1)
+    cols = np.concatenate(list(starmap(_draw_shard, [
+        (cfg, size, range(k * i // n, k * (i + 1) // n))
+        for size in cfg.sizes for i in range(n)])), axis=1)
     batch = StatsBatch(*cols[2:])
-    tasks = [(name, submit(_timed_fit, name, batch, cfg.fit))
-             for name in cfg.estimators]
-    return list(chain.from_iterable(
-        _size_records(size, slice(i * k, (i + 1) * k), cols[:2], tasks)
-        for i, size in enumerate(cfg.sizes)))
+    fits = starmap(_timed_fit, [(name, batch, cfg.fit)
+                                for name in cfg.estimators])
+    truth = SimpleNamespace(alpha=cols[0], beta=cols[1])
+    sizes = np.repeat(cfg.sizes, k).tolist()
+    sims = list(range(k)) * len(cfg.sizes)
+    truth_cols = cols[:2].tolist()
+    per_estimator = []
+    for name, (fit, seconds) in zip(cfg.estimators, fits):
+        est = (fit.alpha, fit.beta, kl_divergence(truth, fit),
+               fit.alpha - truth.alpha, fit.beta - truth.beta,
+               fit.iterations, fit.converged)
+        per_estimator.append(map(
+            SimulationRecord, sizes, sims, repeat(name), *truth_cols,
+            *(c.tolist() for c in est), repeat(seconds / fit.alpha.size)))
+    return list(chain.from_iterable(zip(*per_estimator)))
 
 
 def run_kl_experiment(cfg: ExperimentConfig) -> list[SimulationRecord]:
@@ -250,30 +239,28 @@ def run_kl_experiment(cfg: ExperimentConfig) -> list[SimulationRecord]:
     Samples are drawn and reduced in chunks of at most
     ``distribution._BLOCK`` pairs (see ``_draw_shard``), so no sims x N
     matrix is held; each estimator fits all sims of all sizes in one
-    ``fit_batch`` call.  With ``_fit_workers(cfg)`` > 1, the ``fork``
-    start method available and no other thread running, forked workers
-    draw each size in one contiguous shard of sims per worker, then run
-    one fit per estimator; else both run here, one shard per size.  KL
-    and records are built here.  ``runtime_s`` is an estimator's
-    ``fit_batch`` wall time, measured in the process that ran it, divided
-    by its fits over all sizes.  A fit whose scalar version raises a
-    domain error becomes a converged=False row with NaN estimates; other
-    errors propagate.
+    ``fit_batch`` call, and its fits are scored by one ``kl_divergence``
+    call over all sizes.  With ``_fit_workers()`` > 1, the ``fork`` start
+    method available and no other thread running, a forked
+    ``multiprocessing`` pool runs both steps through ``starmap``: the
+    draws in one contiguous shard of sims per worker and size, then one
+    fit per estimator; the pool's workers are terminated when the sweep
+    returns or raises.  Else both run here through ``itertools.starmap``,
+    one shard per size.  KL and records are built here.  ``runtime_s`` is
+    an estimator's ``fit_batch`` wall time, measured in the process that
+    ran it, divided by its fits over all sizes.  A fit whose scalar
+    version raises a domain error becomes a converged=False row with NaN
+    estimates; other errors propagate.
     """
-    workers = _fit_workers(cfg)
+    workers = _fit_workers()
     # No "fork" start method, or a thread that a forked child could inherit
     # a held lock from: draw and fit here.
     if (workers < 2 or not hasattr(os, "fork")
             or threading.active_count() > 1):
-        return _sweep(cfg, _run_inline, 1)
+        return _sweep(cfg, starmap, 1)
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
-    try:
-        return _sweep(cfg, lambda fn, *args: pool.submit(fn, *args).result,
-                      workers)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return _sweep(cfg, pool.starmap, workers)
 
 
 def aggregate_bias(records: list[SimulationRecord]) -> list[BiasAggregate]:

@@ -8,6 +8,7 @@ import os
 import stat
 import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -122,7 +123,7 @@ class TestRecords:
     def test_order_ignores_config_order(self, workers, monkeypatch):
         # Records come out in (N, sim, table index) order, whatever order
         # the config lists sizes and estimators in.
-        monkeypatch.setattr(harness, "_fit_workers", lambda cfg: workers)
+        monkeypatch.setattr(harness, "_fit_workers", lambda: workers)
         shuffled = run_kl_experiment(ExperimentConfig(
             sizes=(50, 20, 30), sims_per_size=7,
             estimators=("BL2", "MM", "ML1")))
@@ -187,7 +188,7 @@ class TestRecords:
                                estimators=("MM", "ML1"))
         # Inline, and raised in a forked fit worker.
         for workers in (1, 2):
-            monkeypatch.setattr(harness, "_fit_workers", lambda cfg: workers)
+            monkeypatch.setattr(harness, "_fit_workers", lambda: workers)
             with pytest.raises(TypeError, match="broken kernel"):
                 run_kl_experiment(cfg)
 
@@ -299,7 +300,7 @@ class TestFitWorkers:
         cfg = self.CONFIGS[config]
         texts = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(harness, "_fit_workers", lambda cfg: workers)
+            monkeypatch.setattr(harness, "_fit_workers", lambda: workers)
             records = run_kl_experiment(cfg)
             assert all(math.isfinite(r.runtime_s) and r.runtime_s > 0.0
                        for r in records)
@@ -323,7 +324,7 @@ class TestFitWorkers:
         monkeypatch.setattr(harness, "fit_batch", recording_fit_batch)
         monkeypatch.setattr(harness, "_draw_shard", _recording_draw_shard)
         workers = 1 if setting == "one worker" else 2
-        monkeypatch.setattr(harness, "_fit_workers", lambda cfg: workers)
+        monkeypatch.setattr(harness, "_fit_workers", lambda: workers)
         if setting == "no fork":
             monkeypatch.delattr(os, "fork")
         stop = threading.Event()
@@ -346,9 +347,7 @@ class TestFitWorkers:
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        assert harness._fit_workers(ExperimentConfig()) == 3
-        # Draws run in the pool too, so one estimator no longer caps it.
-        assert harness._fit_workers(ExperimentConfig(estimators=("ML1",))) == 3
+        assert harness._fit_workers() == 3
 
     @pytest.mark.parametrize("sims", [1, 2])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -358,22 +357,23 @@ class TestFitWorkers:
         cfg = ExperimentConfig(sizes=(20, 7), sims_per_size=sims)
         shards = []
 
-        def submit(fn, *args):
+        def recording_starmap(fn, args):
+            args = list(args)
             if fn is harness._draw_shard:
-                shards.append(args[1:])
-            return harness._run_inline(fn, *args)
+                shards.extend(a[1:] for a in args)
+            return itertools.starmap(fn, args)
 
-        harness._sweep(cfg, submit, workers)
+        swept = harness._sweep(cfg, recording_starmap, workers)
         assert len(shards) == 2 * min(sims, workers) and all(
             r for _, r in shards)
         for size in cfg.sizes:
             assert [i for n, r in shards if n == size for i in r] == list(
                 range(sims))
-        texts = []
+        texts = [_records_without_runtime(swept)]
         for count in (1, workers):
-            monkeypatch.setattr(harness, "_fit_workers", lambda cfg: count)
+            monkeypatch.setattr(harness, "_fit_workers", lambda: count)
             texts.append(_records_without_runtime(run_kl_experiment(cfg)))
-        assert texts[0] == texts[1]
+        assert texts[0] == texts[1] == texts[2]
         assert texts[0].count("\n") == 1 + 2 * sims * len(ESTIMATORS)
 
     def test_runtime_is_per_estimator(self):
@@ -382,6 +382,30 @@ class TestFitWorkers:
         for name in ESTIMATORS:
             times = {r.runtime_s for r in records if r.estimator == name}
             assert len(times) == 1 and times.pop() > 0.0
+
+    def test_unpicklable_task_fails_fast(self):
+        # A task the pool cannot pickle raises in the caller, and leaving
+        # the pool terminates its workers instead of waiting on them.
+        code = textwrap.dedent("""
+            import multiprocessing
+            from invgamma import harness
+
+            def unpicklable(draw_shard):
+                return lambda *args: draw_shard(*args)
+
+            harness._fit_workers = lambda: 2
+            harness._draw_shard = unpicklable(harness._draw_shard)
+            try:
+                harness.run_kl_experiment(
+                    harness.ExperimentConfig(sizes=(20,), sims_per_size=4))
+            finally:
+                print("children:", len(multiprocessing.active_children()))
+        """)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=60, env=os.environ.copy())
+        assert res.returncode == 1
+        assert "Can't pickle local object" in res.stderr
+        assert res.stdout == "children: 0\n"
 
     def test_import_loads_no_pool_modules(self):
         code = ("import sys, invgamma; print(sorted(m for m in sys.modules "
