@@ -33,9 +33,13 @@ class InvGammaParams:
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got "
                                  f"{type(v).__name__}")
-            if not (math.isfinite(v) and v > 0):
+            try:
+                x = float(v)
+            except OverflowError:  # an int or Fraction beyond float64
+                x = math.inf
+            if not (math.isfinite(x) and x > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, x)
 
 
 def log_pdf(p: InvGammaParams, x):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distribution import InvGammaParams
-from .specfun import _ARRAY_OPS, _FLOAT_OPS, _clog, _psi_psi1
+from .specfun import _ARRAY_OPS, _FLOAT_OPS, _clog, _psi_psi1, inv_digamma
 
 
 class InsufficientDataError(ValueError):
@@ -502,21 +502,10 @@ def fit_bl2(stats: SufficientStats,
                                          poly_prior=poly_prior, conv=cfg))
 
 
-def bl1_log_posterior_curve(stats: SufficientStats,
-                            shape_prior: ShapePriorABC,
-                            scale_prior: ScaleGammaPrior,
-                            alphas,
-                            beta_hat: float | None = None) -> np.ndarray:
-    """Unnormalized log posterior of the shape over a grid.
-
-    Evaluates (-alpha-1) log(a_hat) + alpha c_hat log(beta_hat)
-    - b_hat lnGamma(alpha).  With ``stats = SufficientStats.empty()`` the
-    hatted hyperparameters equal the prior ones and this is the log prior.
-    ``beta_hat`` defaults to the value the BL1 fixed point would use.
-    """
-    grid = np.asarray(alphas, dtype=np.float64)
-    if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
-        raise ValueError("alpha grid must be finite and > 0")
+def _bl1_curve(stats, shape_prior, scale_prior, grid, beta_hat, maximize):
+    """``bl1_log_posterior_curve`` over a checked ``grid`` at the scale
+    ``beta_hat`` (None: its default) and, if ``maximize``, the curve's
+    maximizer invdigamma((-log a_hat + c_hat log beta_hat) / b_hat)."""
     _, log_a_hat, b_hat, c_hat, _, _ = _bl1_constants(
         _FLOAT_OPS, stats, FitOptions(shape_prior, scale_prior))
     if beta_hat is None:
@@ -524,9 +513,31 @@ def bl1_log_posterior_curve(stats: SufficientStats,
             beta_hat = scale_prior.d / scale_prior.e
         else:
             beta_hat = fit_bl1(stats, shape_prior, scale_prior).params.beta
-    return ((-grid - 1.0) * log_a_hat
-            + grid * c_hat * math.log(beta_hat)
-            - b_hat * _ARRAY_OPS.lgamma(grid))
+    log_beta = math.log(beta_hat)
+    curve = ((-grid - 1.0) * log_a_hat + grid * c_hat * log_beta
+             - b_hat * _ARRAY_OPS.lgamma(grid))
+    return curve, (inv_digamma((-log_a_hat + c_hat * log_beta) / b_hat)
+                   if maximize else None)
+
+
+def bl1_log_posterior_curve(stats: SufficientStats,
+                            shape_prior: ShapePriorABC,
+                            scale_prior: ScaleGammaPrior,
+                            alphas,
+                            beta_hat: float | None = None) -> np.ndarray:
+    """Unnormalized log posterior of the shape over a grid:
+    (-alpha-1) log(a_hat) + alpha c_hat log(beta_hat) - b_hat lnGamma(alpha).
+
+    With ``stats = SufficientStats.empty()`` the hatted hyperparameters
+    equal the prior ones and this is the log prior.  ``beta_hat``
+    defaults to the value the BL1 fixed point would use: d/e with no
+    data, else BL1's fitted scale.
+    """
+    grid = np.asarray(alphas, dtype=np.float64)
+    if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
+        raise ValueError("alpha grid must be finite and > 0")
+    return _bl1_curve(stats, shape_prior, scale_prior, grid, beta_hat,
+                      False)[0]
 
 
 # ------------------------------------------------------------ batched fitters
@@ -547,9 +558,6 @@ class StatsBatch:
         cols = np.array([(s.n, s.mean, s.var, s.sum_inv, s.sum_log, s.mean_log)
                          for s in stats], dtype=np.float64).reshape(-1, 6)
         return cls(*(np.ascontiguousarray(c) for c in cols.T))
-
-    def __len__(self) -> int:
-        return self.n.size
 
 
 @dataclass(frozen=True)

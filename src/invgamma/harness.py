@@ -53,7 +53,6 @@ from .estimators import (  # fit_mm .. fit_bl2: see fit_by_name
     ShapePriorABC,
     StatsBatch,
     SufficientStats,
-    bl1_log_posterior_curve,
     compute_stats,
     fit_batch,
     fit_bl1,
@@ -61,12 +60,11 @@ from .estimators import (  # fit_mm .. fit_bl2: see fit_by_name
     fit_ml1,
     fit_ml2,
     fit_mm,
-    _bl1_constants,
+    _bl1_curve,
     _row_stats,
     _spec,
     scale_posterior,
 )
-from .specfun import _FLOAT_OPS, inv_digamma
 
 CURVES_CSV_HEADER = "variant,alpha,log_prior,log_posterior,alpha_true,alpha_hat"
 
@@ -298,18 +296,14 @@ def run_bias_experiment(cfg: ExperimentConfig) -> tuple[list[BiasAggregate],
 def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fractional ranks (ties get the group mean) and tie-group sizes.
 
-    A tie group spanning sorted positions i..j gets rank 0.5*(i+j) + 1,
-    which is exact in float64.
+    ``np.unique`` groups equal values in ascending order.  Group k holds
+    counts[k] values, ends at rank cumsum(counts)[k] and gets rank
+    cumsum(counts)[k] - 0.5*(counts[k] - 1), which is exact in float64.
     """
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    first = np.ones(values.size, dtype=bool)
-    first[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, values.size))
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (2 * starts + counts - 1) + 1.0, counts)
-    return ranks, counts.astype(np.float64)
+    _, group, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True)
+    ranks = np.cumsum(counts) - 0.5 * (counts - 1)
+    return ranks[group], counts.astype(np.float64)
 
 
 def wilcoxon_rank_sum(xs, ys) -> tuple[float, float]:
@@ -365,30 +359,22 @@ def emit_prior_posterior_curves(stats: SufficientStats,
                                 alpha_true: float) -> list[tuple]:
     """Log-prior/log-posterior curve rows over an alpha grid.
 
-    The scale estimate is the posterior mean seeded by the moment shape
-    estimate and is shared by every hyperparameter variant; ``alpha_hat``
-    is the posterior maximizer invdigamma((-log a_hat + c_hat log
-    beta_hat) / b_hat).  With no data (n = 0) prior and posterior rows
-    coincide.
+    Both curves of a variant are ``estimators._bl1_curve``'s, the prior
+    on ``SufficientStats.empty()``, at one scale shared by every variant:
+    the posterior mean seeded by the moment shape estimate, or d/e with
+    no data (n = 0), when prior and posterior rows coincide.
+    ``alpha_hat`` is the posterior curve's maximizer.
     """
     grid = np.asarray(alpha_grid, dtype=np.float64)
-    if stats.n == 0:
-        beta_hat = scale_prior.d / scale_prior.e
-    else:
-        mm_alpha = fit_mm(stats).params.alpha
-        _, _, beta_hat = scale_posterior(stats, scale_prior, mm_alpha)
-    prior_stats = SufficientStats.empty()
+    beta_hat = None if stats.n == 0 else scale_posterior(
+        stats, scale_prior, fit_mm(stats).params.alpha)[2]
     rows = []
     for sp in shape_priors:
         label = (f"a={math.exp(sp.log_a):.6g};b={sp.b:.6g};c={sp.c:.6g}")
-        log_prior = bl1_log_posterior_curve(prior_stats, sp, scale_prior,
-                                            grid, beta_hat=beta_hat)
-        log_post = bl1_log_posterior_curve(stats, sp, scale_prior,
-                                           grid, beta_hat=beta_hat)
-        _, log_a_hat, b_hat, c_hat, _, _ = _bl1_constants(
-            _FLOAT_OPS, stats, FitOptions(sp, scale_prior))
-        alpha_hat = inv_digamma((-log_a_hat + c_hat * math.log(beta_hat))
-                                / b_hat)
+        log_prior, _ = _bl1_curve(SufficientStats.empty(), sp, scale_prior,
+                                  grid, beta_hat, False)
+        log_post, alpha_hat = _bl1_curve(stats, sp, scale_prior, grid,
+                                         beta_hat, True)
         for a, lp, lq in zip(grid, log_prior, log_post):
             rows.append((label, float(a), float(lp), float(lq),
                          float(alpha_true), alpha_hat))

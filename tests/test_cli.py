@@ -470,6 +470,12 @@ class TestSample:
         res = run_cli("sample", "--alpha", "-3", "--beta", "2", "--n", "1")
         assert res.returncode == 2
 
+    def test_negative_size_exits_2(self):
+        res = run_cli("sample", "--alpha", "1", "--beta", "1", "--n", "-1")
+        assert res.returncode == 2
+        assert res.stderr == "invgamma: --n must be >= 0, got -1\n"
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("alpha, beta", [
         ("0.001", "1"),       # Gamma variates underflow to 0: x = inf
         ("0.01", "1e300"),    # beta / variate overflows
@@ -654,6 +660,7 @@ class TestBenchmark:
     @pytest.mark.parametrize("sizes, msg", [
         (",", "sizes must not be empty"),
         ("20,20", "duplicate sizes: 20,20"),
+        ("0", "sizes must be >= 1"),
     ])
     def test_bad_size_list_exits_2(self, tmp_path, sizes, msg):
         out = tmp_path / "bench.csv"
@@ -661,6 +668,13 @@ class TestBenchmark:
                       "--estimators", "MM", "--out", str(out))
         assert res.returncode == 2
         assert res.stderr == f"invgamma: {msg}\n"
+        assert res.stdout == "" and not out.exists()
+
+    def test_unparsable_size_list_exits_2(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        res = run_cli("benchmark", "--sizes", "5,x", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr.endswith("bad size list '5,x'\n")
         assert res.stdout == "" and not out.exists()
 
     def test_summary_and_csv_ignore_config_order(self, tmp_path):

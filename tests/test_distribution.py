@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,7 +112,9 @@ class TestLogPdf:
 
 class TestParams:
     def test_rejects_invalid(self):
-        for a, b in ((0, 1), (-1, 1), (1, 0), (math.nan, 1), (1, math.inf)):
+        for a, b in ((0, 1), (-1, 1), (1, 0), (math.nan, 1), (1, math.inf),
+                     (10 ** 400, 1), (1, 10 ** 400),
+                     (Fraction(1, 10 ** 400), 1)):
             with pytest.raises(ValueError):
                 InvGammaParams(a, b)
 
@@ -160,6 +163,10 @@ class TestSampler:
         a = sample(p, 50, np.random.default_rng(7))
         b = sample(p, 50, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
+
+    def test_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="sample size must be >= 0"):
+            sample(InvGammaParams(10, 25), -1, np.random.default_rng(7))
 
     def test_monte_carlo_moments(self):
         x = sample(InvGammaParams(10, 25), 10 ** 6, np.random.default_rng(42))

@@ -43,6 +43,7 @@ from invgamma import (
     profile_log_likelihood,
     quad_approx_coeffs,
     sample,
+    scale_posterior,
     trigamma,
 )
 from invgamma import estimators, specfun
@@ -72,6 +73,14 @@ class TestSufficientStats:
         s = compute_stats([1.0])
         assert s.n == 1
         assert math.isnan(s.var)
+
+    @pytest.mark.parametrize("fields", [
+        (-1, math.nan, math.nan, 0.0, 0.0, 0.0),
+        (3, -1.0, 1.0, 1.0, 0.0, 0.0),
+    ])
+    def test_rejects_impossible_fields(self, fields):
+        with pytest.raises(ValueError):
+            SufficientStats(*fields)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -716,6 +725,18 @@ class TestConfigValidation:
         # fit at NaN, where the scalar fit raises InsufficientDataError.
         with pytest.raises(ValueError, match="var must be NaN when n < 2"):
             SufficientStats(1, 2.0, 1.0, 0.5, 0.7, 0.7)
+
+    @pytest.mark.parametrize("alpha", [0.0, math.nan])
+    @pytest.mark.parametrize("at", [
+        ml_beta_given_alpha,
+        profile_log_likelihood,
+        quad_approx_coeffs,
+        lambda s, a: scale_posterior(s, ScaleGammaPrior(), a),
+    ], ids=["ml_beta_given_alpha", "profile_log_likelihood",
+            "quad_approx_coeffs", "scale_posterior"])
+    def test_functions_of_alpha_reject_it_outside_the_domain(self, at, alpha):
+        with pytest.raises(ValueError, match="alpha must be > 0"):
+            at(compute_stats([1.0, 2.0, 4.0]), alpha)
 
     def test_convergence_config(self):
         with pytest.raises(ValueError):

@@ -211,6 +211,7 @@ class TestRecords:
         ((), "sizes must not be empty"),
         ((20, 20), "duplicate sizes: 20,20"),
         ((20, 50, 20), "duplicate sizes: 20,50,20"),
+        ((0,), "sizes must be >= 1"),
     ])
     def test_size_list_validation(self, sizes, msg):
         with pytest.raises(ValueError, match=f"^{msg}$"):
@@ -427,6 +428,12 @@ class TestCsv:
         back = read_records_csv(str(path))
         assert back == small_records
 
+    def test_read_rejects_another_header(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text(CURVES_CSV_HEADER + "\n")
+        with pytest.raises(ValueError, match="unexpected header"):
+            read_records_csv(str(path))
+
     def test_floats_roundtrip_exactly(self, small_records, tmp_path):
         path = tmp_path / "records.csv"
         write_records_csv(small_records, str(path))
@@ -491,6 +498,25 @@ class TestAtomicWrite:
         assert target.read_text().splitlines()[0] == RECORDS_CSV_HEADER
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "link.csv", "target.csv"]
+
+    def test_dangling_symlink_stays_and_its_target_is_created(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert cli.main(["benchmark", "--sizes", "20", "--sims", "3",
+                         "--estimators", "MM", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text().splitlines()[0] == RECORDS_CSV_HEADER
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.csv", "target.csv"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            harness._atomic_write(str(tmp_path / "out.csv"), "a\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_fifo_stays_a_fifo(self, tmp_path):
         fifo = tmp_path / "out.csv"
@@ -697,6 +723,16 @@ class TestCurves:
                                            grid, 10.0)
         for (_, _, log_prior, log_post, _, _) in rows:
             assert log_prior == log_post
+
+    def test_prior_needs_no_finite_maximizer(self):
+        # At b = 1e-310 the prior's invdigamma argument overflows; only the
+        # posterior's maximizer is computed, so both curves are drawn.
+        sp = ShapePriorABC(1.0, 1e-310, 0.01)
+        stats = compute_stats(sample(InvGammaParams(3.0, 2.0), 40,
+                                     np.random.default_rng(5)))
+        rows = emit_prior_posterior_curves(stats, [sp], ScaleGammaPrior(),
+                                           np.linspace(0.5, 10.0, 5), 3.0)
+        assert np.isfinite([r[2:] for r in rows]).all()
 
     def test_curves_csv(self, demo_curve_rows, tmp_path):
         _, rows = demo_curve_rows
