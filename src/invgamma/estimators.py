@@ -502,22 +502,14 @@ def fit_bl2(stats: SufficientStats,
                                          poly_prior=poly_prior, conv=cfg))
 
 
-def _bl1_curve(stats, shape_prior, scale_prior, grid, beta_hat, maximize):
-    """``bl1_log_posterior_curve`` over a checked ``grid`` at the scale
-    ``beta_hat`` (None: its default) and, if ``maximize``, the curve's
-    maximizer invdigamma((-log a_hat + c_hat log beta_hat) / b_hat)."""
+def _bl1_terms(stats, shape_prior, scale_prior, beta_hat):
+    """log a_hat, b_hat, c_hat and log beta_hat of BL1's shape posterior."""
     _, log_a_hat, b_hat, c_hat, _, _ = _bl1_constants(
         _FLOAT_OPS, stats, FitOptions(shape_prior, scale_prior))
     if beta_hat is None:
-        if stats.n == 0:
-            beta_hat = scale_prior.d / scale_prior.e
-        else:
-            beta_hat = fit_bl1(stats, shape_prior, scale_prior).params.beta
-    log_beta = math.log(beta_hat)
-    curve = ((-grid - 1.0) * log_a_hat + grid * c_hat * log_beta
-             - b_hat * _ARRAY_OPS.lgamma(grid))
-    return curve, (inv_digamma((-log_a_hat + c_hat * log_beta) / b_hat)
-                   if maximize else None)
+        beta_hat = (scale_prior.d / scale_prior.e if stats.n == 0 else
+                    fit_bl1(stats, shape_prior, scale_prior).params.beta)
+    return log_a_hat, b_hat, c_hat, math.log(beta_hat)
 
 
 def bl1_log_posterior_curve(stats: SufficientStats,
@@ -528,16 +520,24 @@ def bl1_log_posterior_curve(stats: SufficientStats,
     """Unnormalized log posterior of the shape over a grid:
     (-alpha-1) log(a_hat) + alpha c_hat log(beta_hat) - b_hat lnGamma(alpha).
 
-    With ``stats = SufficientStats.empty()`` the hatted hyperparameters
-    equal the prior ones and this is the log prior.  ``beta_hat``
-    defaults to the value the BL1 fixed point would use: d/e with no
-    data, else BL1's fitted scale.
+    With ``stats = SufficientStats.empty()`` it is the log prior.
+    ``beta_hat`` defaults to d/e with no data, else BL1's fitted scale.
     """
     grid = np.asarray(alphas, dtype=np.float64)
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
         raise ValueError("alpha grid must be finite and > 0")
-    return _bl1_curve(stats, shape_prior, scale_prior, grid, beta_hat,
-                      False)[0]
+    log_a_hat, b_hat, c_hat, log_beta = _bl1_terms(stats, shape_prior,
+                                                   scale_prior, beta_hat)
+    return ((-grid - 1.0) * log_a_hat + grid * c_hat * log_beta
+            - b_hat * _ARRAY_OPS.lgamma(grid))
+
+
+def _bl1_mode(stats, shape_prior, scale_prior, beta_hat):
+    """invdigamma((-log a_hat + c_hat log beta_hat) / b_hat), the maximizer
+    over alpha of ``bl1_log_posterior_curve`` at the same arguments."""
+    log_a_hat, b_hat, c_hat, log_beta = _bl1_terms(stats, shape_prior,
+                                                   scale_prior, beta_hat)
+    return inv_digamma((-log_a_hat + c_hat * log_beta) / b_hat)
 
 
 # ------------------------------------------------------------ batched fitters

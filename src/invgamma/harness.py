@@ -53,6 +53,7 @@ from .estimators import (  # fit_mm .. fit_bl2: see fit_by_name
     ShapePriorABC,
     StatsBatch,
     SufficientStats,
+    bl1_log_posterior_curve,
     compute_stats,
     fit_batch,
     fit_bl1,
@@ -60,7 +61,7 @@ from .estimators import (  # fit_mm .. fit_bl2: see fit_by_name
     fit_ml1,
     fit_ml2,
     fit_mm,
-    _bl1_curve,
+    _bl1_mode,
     _row_stats,
     _spec,
     scale_posterior,
@@ -359,11 +360,11 @@ def emit_prior_posterior_curves(stats: SufficientStats,
                                 alpha_true: float) -> list[tuple]:
     """Log-prior/log-posterior curve rows over an alpha grid.
 
-    Both curves of a variant are ``estimators._bl1_curve``'s, the prior
-    on ``SufficientStats.empty()``, at one scale shared by every variant:
-    the posterior mean seeded by the moment shape estimate, or d/e with
-    no data (n = 0), when prior and posterior rows coincide.
-    ``alpha_hat`` is the posterior curve's maximizer.
+    Both curves of a variant are ``bl1_log_posterior_curve``'s, the prior
+    on ``SufficientStats.empty()``, at one scale for every variant: the
+    posterior mean seeded by the moment shape estimate, or d/e with no
+    data (n = 0), when prior and posterior rows coincide.  ``alpha_hat``
+    is the posterior's maximizer (the prior's is never computed).
     """
     grid = np.asarray(alpha_grid, dtype=np.float64)
     beta_hat = None if stats.n == 0 else scale_posterior(
@@ -371,10 +372,10 @@ def emit_prior_posterior_curves(stats: SufficientStats,
     rows = []
     for sp in shape_priors:
         label = (f"a={math.exp(sp.log_a):.6g};b={sp.b:.6g};c={sp.c:.6g}")
-        log_prior, _ = _bl1_curve(SufficientStats.empty(), sp, scale_prior,
-                                  grid, beta_hat, False)
-        log_post, alpha_hat = _bl1_curve(stats, sp, scale_prior, grid,
-                                         beta_hat, True)
+        log_prior, log_post = (
+            bl1_log_posterior_curve(s, sp, scale_prior, grid, beta_hat)
+            for s in (SufficientStats.empty(), stats))
+        alpha_hat = _bl1_mode(stats, sp, scale_prior, beta_hat)
         for a, lp, lq in zip(grid, log_prior, log_post):
             rows.append((label, float(a), float(lp), float(lq),
                          float(alpha_true), alpha_hat))

@@ -781,6 +781,21 @@ class TestCurves:
                       "--out", str(tmp_path / "c.csv"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("lo, hi", [("-0.5", "5"), ("0", "5"),
+                                        ("1", "inf")])
+    def test_nonpositive_or_infinite_grid_exit_2(self, tmp_path, lo, hi):
+        out = tmp_path / "c.csv"
+        res = run_cli("curves", "--alpha", "10", "--beta", "25", "--n", "40",
+                      "--grid-lo", lo, "--grid-hi", hi, "--out", str(out))
+        assert res.returncode == 2
+        msg = "invgamma: alpha grid must be finite and > 0\n"
+        if hi == "inf":  # numpy's linspace warns on an infinite end first
+            assert res.stderr.endswith("\n" + msg)
+            assert "Traceback" not in res.stderr
+        else:
+            assert res.stderr == msg
+        assert not out.exists()
+
 
 class TestUnwritableOutput:
     """A failed CSV write names the option and its path, not the temp file
