@@ -75,8 +75,9 @@ def moments(p: InvGammaParams) -> tuple[float, float]:
 
 
 # Pairs per acceptance block: a long row runs in blocks, and short rows
-# share one (see ``_rows_per_block``).  It bounds the mask temporaries, so a
-# 1e6-draw call peaks near the size of its two input arrays.  Their 64 KiB
+# share one (see ``_rows_per_block``).  A long row draws its uniforms and
+# runs its tests one block at a time, so a call holds a round's normals,
+# its output and about four 64 KiB blocks (see ``sample``).  Those blocks
 # stay in the allocator's heap: with 16384 pairs and more (128 KiB and up),
 # blocks of 3 to 24 rows at N = 2500 and 5000 drew slower than one row at
 # a time, as glibc returned their pages to the system and faulted them in
@@ -110,22 +111,32 @@ def _gamma_mt_accept(z, u, d, c):
 
     ``z`` and ``u`` are one row with float ``d`` and ``c``, or rows with
     ``d`` and ``c`` as (rows, 1) columns.  Returns the accepted draws d v³,
-    row after row in pair order, and the accept mask."""
-    v = 1.0 + c * z
-    live = v > 0.0
-    v = v * v * v
+    row after row in pair order, and the accept mask.
+
+    Beside its inputs it holds at most two float arrays of the block's
+    size at a time: each product that keeps its rounding in place is
+    formed in place."""
     z2 = z * z
+    t = 0.0331 * z2
+    t *= z2
     # The squeeze never accepts a dead pair: v <= 0 needs z <= -1/c,
     # and -1/c <= -sqrt(6) (d >= 2/3) makes 1 - 0.0331 z⁴ negative.
-    accept = u < 1.0 - 0.0331 * z2 * z2
-    rest = (live > accept).ravel().nonzero()[0]
+    accept = u < np.subtract(1.0, t, out=t)
+    del t
+    v = c * z
+    v += 1.0
+    rest = ((v > 0.0) > accept).ravel().nonzero()[0]
+    z2 = z2.ravel()[rest]  # only the log test's pairs
+    t = v * v
+    t *= v
+    v = t
     if rest.size:
         vr = v.ravel()[rest]
         dr = d if z.ndim == 1 else d[rest // z.shape[1], 0]
         with np.errstate(divide="ignore"):
             accept.ravel()[rest] = (
                 _clog(u.ravel()[rest])
-                < 0.5 * z2.ravel()[rest] + dr * (1.0 - vr + _clog(vr)))
+                < 0.5 * z2 + dr * (1.0 - vr + _clog(vr)))
     v *= d
     return v[accept], accept
 
@@ -133,22 +144,22 @@ def _gamma_mt_accept(z, u, d, c):
 def _fill_row(out: np.ndarray, filled: int, d: float, c: float,
               rng: np.random.Generator) -> None:
     """Fill ``out[filled:]`` with unit-rate Gamma draws, round by round:
-    each round draws m normals, then m uniforms, tests them in blocks of
-    ``_BLOCK`` pairs and keeps the first accepted values it still needs;
-    leftover pairs are discarded."""
+    each round draws m normals, then its m uniforms ``_BLOCK`` at a time,
+    tests each block and keeps the first accepted values it still needs.
+    Once the row is full, the round's remaining uniforms are drawn and
+    dropped, so the generator ends where one ``random(m)`` leaves it."""
     n = out.size
     while filled < n:
         m = _round_pairs(n - filled)
         normals = rng.standard_normal(m)
-        uniforms = rng.random(m)
         for lo in range(0, m, _BLOCK):
-            got = _gamma_mt_accept(normals[lo:lo + _BLOCK],
-                                   uniforms[lo:lo + _BLOCK], d, c)[0]
-            take = min(got.size, n - filled)
-            out[filled:filled + take] = got[:take]
-            filled += take
-            if filled == n:
-                break
+            uniforms = rng.random(min(_BLOCK, m - lo))
+            if filled < n:
+                got = _gamma_mt_accept(normals[lo:lo + _BLOCK], uniforms,
+                                       d, c)[0][:n - filled]
+                out[filled:filled + got.size] = got
+                filled += got.size
+                del got  # not kept through the next block's test
 
 
 def _standard_gamma(alphas, n: int, rngs) -> np.ndarray:
@@ -182,8 +193,10 @@ def _standard_gamma(alphas, n: int, rngs) -> np.ndarray:
         if got_i < n:
             _fill_row(out[i], got_i, *consts[i], rngs[i])
     for i, alpha in enumerate(alphas):
-        if alpha < 1.0 and n > 0:
-            out[i] *= rngs[i].random(n) ** (1.0 / alpha)
+        if alpha < 1.0:
+            for lo in range(0, n, _BLOCK):
+                out[i, lo:lo + _BLOCK] *= (
+                    rngs[i].random(min(_BLOCK, n - lo)) ** (1.0 / alpha))
     return out
 
 
@@ -192,7 +205,11 @@ def sample(p: InvGammaParams, n: int, rng: np.random.Generator) -> np.ndarray:
     variates; deterministic for a given generator state.  Draws beyond
     float64's range are not refused: a Gamma variate that underflows to 0
     (small alpha) gives inf, with numpy's divide warning, and beta over a
-    huge variate can round to 0."""
+    huge variate can round to 0.
+
+    At its peak a call holds two arrays of the sample: the first round's
+    n + n/16 + 16 normals and the n draws, plus a few blocks of pairs
+    (about 0.25 MB).  So 1e6 draws peak at 2.1 × 8n bytes."""
     n = int(n)
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")

@@ -180,6 +180,7 @@ def _row_stats(x: np.ndarray) -> tuple:
     alone: numpy's pairwise sums along the row and one BLAS dot per row
     (an ``einsum`` or a sum of squares rounds otherwise).  The logs are
     the C library's, so ``sum_log`` does not depend on the host's SIMD.
+    Beside ``x`` it holds one temporary of ``x``'s size at a time.
     """
     n = x.shape[1]
     with np.errstate(over="ignore", divide="ignore"):
@@ -188,6 +189,7 @@ def _row_stats(x: np.ndarray) -> tuple:
             dev = x - mu[:, None]
             var = np.fromiter(map(np.dot, dev, dev), np.float64,
                               len(dev)) / (n - 1)
+            del dev
         else:
             var = np.full(len(x), math.nan)
         sum_inv = np.sum(1.0 / x, axis=1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,14 @@ def make_dataset(i: int):
     n = (100, 1000)[i % 2]
     truth = InvGammaParams(alpha, beta)
     return truth, compute_stats(sample(truth, n, rng))
+
+
+def traced_peak(f, *args):
+    """Peak bytes that tracemalloc, which sees numpy's buffers, counts
+    while ``f(*args)`` runs, beyond what was allocated before it."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

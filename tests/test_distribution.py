@@ -28,6 +28,7 @@ from invgamma import (
     variance,
 )
 from invgamma.distribution import _gamma_mt_accept
+from conftest import traced_peak
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -276,6 +277,9 @@ class TestSamplerStream:
     @example(seed=0, alpha=10.0, n=65_536)
     @example(seed=1, alpha=0.3, n=2 * 65_536 + 1)
     @example(seed=2, alpha=1e6, n=61_667)
+    # The row fills at pair 200 604; its round's last uniform block, from
+    # pair 204 800, is drawn and dropped.
+    @example(seed=3, alpha=10.0, n=200_000)
     def test_matches_scalar_oracle(self, seed, alpha, n):
         p = InvGammaParams(alpha, 1.0)
         rng = np.random.default_rng(seed)
@@ -283,6 +287,19 @@ class TestSamplerStream:
         np.testing.assert_array_equal(sample(p, n, rng),
                                       sample_reference(p, n, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestSamplerMemory:
+    @pytest.mark.parametrize("alpha", [10.0, 0.5])
+    @pytest.mark.parametrize("n", [200_000, 1_000_000])
+    def test_holds_two_arrays_of_the_sample(self, alpha, n):
+        # A round's normals and the draws, and at most four blocks of pairs
+        # for the tests and the power boost: 2.1 x 8n bytes at n = 1e6.
+        # Holding a round's uniforms too read 3.2 x 8n.
+        peak = traced_peak(sample, InvGammaParams(alpha, 25.0), n,
+                           np.random.default_rng(0))
+        pairs = distribution._round_pairs(n)
+        assert peak <= 8 * (pairs + n + 4 * distribution._BLOCK)
 
 
 class DeadFirstRound:

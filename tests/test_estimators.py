@@ -47,7 +47,7 @@ from invgamma import (
     trigamma,
 )
 from invgamma import estimators, specfun
-from conftest import make_dataset
+from conftest import make_dataset, traced_peak
 
 FLAT_SHAPE = ShapePriorABC.with_a(1.0, 1e-8, 1e-8)
 FLAT_SCALE = ScaleGammaPrior(1e-8, 1e-8)
@@ -110,6 +110,14 @@ class TestSufficientStats:
                                              np.float64, n))
                 want = (mu, var, np.sum(1.0 / a), sum_log, sum_log / n)
                 np.testing.assert_array_equal([col[i] for col in got], want)
+
+
+    @pytest.mark.parametrize("n", [200_000, 1_000_000])
+    def test_holds_one_temporary(self, n):
+        # Beside its input: the deviations, then 1/x, then the logs, one at
+        # a time.  Keeping the deviations through 1/x read 2.0 x 8n.
+        x = 1.0 + np.random.default_rng(0).random(n)
+        assert traced_peak(compute_stats, x) <= 1.1 * 8 * n
 
 
 class TestMethodOfMoments:
@@ -842,3 +850,66 @@ class TestFitBatch:
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
             fit_batch("XX", StatsBatch.pack([compute_stats([1.0, 2.0])]))
+
+
+@st.composite
+def float64_samples(draw):
+    """A positive finite sample of n in {1, 2, 3, 5, 20, 200} values from
+    anywhere in float64's range, of one of five kinds: log-uniform over
+    2^-1074 .. 2^1023; one scale spread over up to 3 decades; ulp steps
+    around one value; an ordinary sample with one outlier scaled by up to
+    1e±300; or Inverse Gamma with beta in 1e±300, its draws beyond float64
+    clipped to its ends."""
+    n = draw(st.sampled_from((1, 2, 3, 5, 20, 200)))
+    kind = draw(st.sampled_from(
+        ("log-uniform", "spread", "ulps", "outlier", "inverse gamma")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    with np.errstate(all="ignore"):
+        if kind == "log-uniform":
+            x = np.exp2(rng.uniform(-1074.0, 1023.0, n))
+        elif kind == "spread":
+            decades = draw(st.floats(0.0, 3.0))
+            x = 10.0 ** (draw(st.floats(-320.0, 305.0)) + decades * rng.random(n))
+        elif kind == "ulps":
+            base = np.float64(10.0 ** draw(st.floats(-300.0, 300.0)))
+            x = (base.view(np.int64) + rng.integers(0, 4, n)).view(np.float64)
+        elif kind == "outlier":
+            x = rng.lognormal(size=n)
+            x[rng.integers(n)] *= 10.0 ** draw(st.floats(-300.0, 300.0))
+        else:
+            alpha = math.exp(draw(st.floats(math.log(0.3), math.log(300.0))))
+            beta = 10.0 ** draw(st.floats(-300.0, 300.0))
+            x = sample(InvGammaParams(alpha, beta), n, rng)
+    return np.clip(x, 5e-324, np.finfo(np.float64).max)
+
+
+class TestFloat64Contract:
+    """Every positive finite sample gets a valid ``FitReport`` or a typed
+    error from each estimator, with no numpy warning, and ``fit_batch``
+    fails exactly there and otherwise gives the same bits."""
+
+    # A batch holding a slow ML1 or BL1 fit (a large shape, up to 1000
+    # steps) costs about 1 ms a step; at this size the test takes 2-4 s.
+    @settings(max_examples=25, deadline=None)
+    @given(samples=st.lists(float64_samples(), min_size=1, max_size=6))
+    def test_fit_or_typed_error(self, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = [compute_stats(x) for x in samples]
+            batch = StatsBatch.pack(rows)
+            for name in ESTIMATORS:
+                got = fit_batch(name, batch)
+                for k, stats in enumerate(rows):
+                    try:
+                        r = fit_by_name(name, stats, FitOptions())
+                    except SCALAR_RAISES:
+                        assert got.failed[k], (name, stats)
+                        continue
+                    assert not got.failed[k], (name, stats)
+                    assert 0 <= r.iterations <= FitOptions().conv.max_iter
+                    assert r.converged == (r.residual <= FitOptions().conv.rel_tol)
+                    assert (r.posterior is not None) == (name in ("BL1", "BL2"))
+                    assert (got.alpha[k], got.beta[k], got.iterations[k],
+                            got.converged[k]) == (
+                        r.params.alpha, r.params.beta, r.iterations,
+                        r.converged), (name, stats)
