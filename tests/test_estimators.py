@@ -893,21 +893,22 @@ class TestFloat64Contract:
     @settings(max_examples=25, deadline=None)
     @given(samples=st.lists(float64_samples(), min_size=1, max_size=6))
     def test_fit_or_typed_error(self, samples):
+        options = FitOptions()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = [compute_stats(x) for x in samples]
             batch = StatsBatch.pack(rows)
             for name in ESTIMATORS:
-                got = fit_batch(name, batch)
+                got = fit_batch(name, batch, options)
                 for k, stats in enumerate(rows):
                     try:
-                        r = fit_by_name(name, stats, FitOptions())
+                        r = fit_by_name(name, stats, options)
                     except SCALAR_RAISES:
                         assert got.failed[k], (name, stats)
                         continue
                     assert not got.failed[k], (name, stats)
-                    assert 0 <= r.iterations <= FitOptions().conv.max_iter
-                    assert r.converged == (r.residual <= FitOptions().conv.rel_tol)
+                    assert 0 <= r.iterations <= options.conv.max_iter
+                    assert r.converged == (r.residual <= options.conv.rel_tol)
                     assert (r.posterior is not None) == (name in ("BL1", "BL2"))
                     assert (got.alpha[k], got.beta[k], got.iterations[k],
                             got.converged[k]) == (
