@@ -51,6 +51,7 @@ from .harness import (
     ESTIMATORS,
     ExperimentConfig,
     SimulationRecord,
+    SimulationRecords,
     aggregate_bias,
     emit_prior_posterior_curves,
     fit_by_name,

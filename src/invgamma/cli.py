@@ -330,7 +330,7 @@ def cmd_benchmark(args) -> None:
     cfg = _config_from_args(args)
     records = run_kl_experiment(cfg)
     _write(write_records_csv, records, "--out", args.out)
-    excluded = sum(1 for r in records if not math.isfinite(r.kl))
+    excluded = int(np.count_nonzero(~np.isfinite(records.column("kl"))))
     if excluded:
         print(f"excluded {excluded} failed fits from summaries")
     _print_kl_summary(cfg, records)

@@ -578,11 +578,19 @@ class BatchFit:
     failed: np.ndarray
 
 
+# Live rows at or below which ``_iterate`` finishes each row on floats:
+# a numpy step costs about 115-170 us at any small size, a float step
+# about 5-10 us per row.
+_SCALAR_ROWS = 16
+
+
 def _iterate(step, op, alpha0, consts, conv: ConvergenceConfig):
     """The batched fixed-point loop: ``alpha <- step(op, alpha, *consts)``
     for each element still iterating, with its own entries of the array
     constants, stopping by the rule of ``_fixed_point`` and returning the
-    same tuple, per element.
+    same tuple, per element.  Once ``_SCALAR_ROWS`` or fewer elements are
+    live, each finishes its own run in ``_fixed_point`` on floats, which
+    gives the same bits.
     """
     alpha = alpha0.copy()
     prev = alpha0.copy()
@@ -590,9 +598,9 @@ def _iterate(step, op, alpha0, consts, conv: ConvergenceConfig):
     residual = np.full(alpha.size, math.inf)
     converged = np.zeros(alpha.size, dtype=bool)
     live = np.arange(alpha.size)
-    for it in range(1, conv.max_iter + 1):
-        if not live.size:
-            break
+    it = 0
+    while live.size > _SCALAR_ROWS and it < conv.max_iter:
+        it += 1
         a = alpha[live]
         nxt = step(op, a, *(c[live] if isinstance(c, np.ndarray) else c
                             for c in consts))
@@ -604,6 +612,14 @@ def _iterate(step, op, alpha0, consts, conv: ConvergenceConfig):
         done = res <= conv.rel_tol
         converged[live[done]] = True
         live = live[~done & (nxt > 0.0) & (nxt < math.inf)]
+    if live.size and it < conv.max_iter:
+        rest = ConvergenceConfig(conv.rel_tol, conv.max_iter - it)
+        rows = zip(*(c[live].tolist() if isinstance(c, np.ndarray)
+                     else [c] * live.size for c in consts))
+        for i, a, row in zip(live, alpha[live].tolist(), rows):
+            alpha[i], prev[i], k, residual[i], converged[i] = _fixed_point(
+                step, _FLOAT_OPS, a, row, rest)
+            iterations[i] = it + k
     return alpha, prev, iterations, residual, converged
 
 

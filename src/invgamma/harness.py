@@ -6,13 +6,15 @@ sample, and records KL(truth || estimate), parameter bias, iteration
 counts and wall-clock time per fit.  Emission is order-normalized CSV so
 identical configs produce identical files (runtime column excepted).
 Records and bias aggregates are ``NamedTuple``s: a CSV header is its
-tuple's field names, and each row is written by one ``%`` template.
+tuple's field names.  A sweep's records are kept as columns, in a
+``SimulationRecords`` that builds its rows only when they are read, and
+the records CSV is formatted and written in blocks of rows.
 
 Sweeps run batched: each estimator fits all simulations of all sizes in
 one ``fit_batch`` call, bit-identical to the scalar fitters; ``runtime_s``
 is that call's wall time over its number of fits.  Each ``BatchFit`` is
 scored by one array ``kl_divergence`` call against the truths of every
-size, and the records are built from those columns in one pass.  With
+size, and the records keep those columns.  With
 more than one CPU, the ``starmap`` of a ``fork`` ``multiprocessing.Pool``
 draws each size in contiguous shards of simulations, then runs the
 ``fit_batch`` calls; else ``itertools.starmap`` runs both in this
@@ -30,8 +32,9 @@ import stat
 import sys
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -138,11 +141,100 @@ class BiasAggregate(NamedTuple):
     std_bias_beta: float
 
 
+# The fields a sweep holds once per simulation, and once per simulation
+# and estimator.
+_SIM_FIELDS = ("N", "sim", "alpha_true", "beta_true")
+_FIT_FIELDS = ("alpha_hat", "beta_hat", "kl", "bias_alpha", "bias_beta",
+               "iterations", "converged")
+# Simulations per block of rows that records are built or written in.
+_BLOCK_SIMS = 128
+
+
+class SimulationRecords(Sequence):
+    """A sweep's records, read-only, in (N, sim, estimator table) order.
+
+    It holds columns: the four ``_SIM_FIELDS`` once per simulation, and
+    per estimator its name, its seven ``_FIT_FIELDS`` and its
+    ``runtime_s``.  ``SimulationRecord`` rows are built only when the
+    records are iterated, indexed or sliced (a slice is a list), a block
+    of simulations at a time; ``column`` reads a field as one array.
+    """
+
+    def __init__(self, sims, names, fits, runtimes):
+        self._sims = sims  # four arrays, one entry per simulation
+        self._names = names
+        self._fits = fits  # per estimator, seven arrays
+        self._runtimes = runtimes
+
+    def __len__(self):
+        return len(self._sims[0]) * len(self._names)
+
+    def _block(self, lo: int, hi: int):
+        """Sims ``lo`` to ``hi`` as lists: the four per-sim columns, then
+        per estimator its name, its seven columns and its runtime_s."""
+        return [c[lo:hi].tolist() for c in self._sims], [
+            (name, [c[lo:hi].tolist() for c in cols], seconds)
+            for name, cols, seconds in zip(self._names, self._fits,
+                                           self._runtimes)]
+
+    def _rows(self, lo: int, hi: int):
+        sims, fits = self._block(lo, hi)
+        return chain.from_iterable(zip(*(
+            map(SimulationRecord, *sims[:2], repeat(name), *sims[2:], *cols,
+                repeat(seconds))
+            for name, cols, seconds in fits)))
+
+    def __iter__(self):
+        for lo in range(0, len(self._sims[0]), _BLOCK_SIMS):
+            yield from self._rows(lo, lo + _BLOCK_SIMS)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        sim, est = divmod(range(len(self))[index], len(self._names))
+        return list(self._rows(sim, sim + 1))[est]
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, SimulationRecords)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def column(self, field: str) -> np.ndarray:
+        """One field of every record, in record order."""
+        if field in _SIM_FIELDS:
+            return np.repeat(self._sims[_SIM_FIELDS.index(field)],
+                             len(self._names))
+        if field == "estimator":
+            return np.tile(np.array(self._names), len(self._sims[0]))
+        if field == "runtime_s":
+            return np.tile(self._runtimes, len(self._sims[0]))
+        i = _FIT_FIELDS.index(field)
+        return np.stack([cols[i] for cols in self._fits], axis=1).ravel()
+
+    def _csv_blocks(self):
+        # ``_csv_rows``'s arguments, a block of simulations at a time.
+        for lo in range(0, len(self._sims[0]), _BLOCK_SIMS):
+            sims, fits = self._block(lo, lo + _BLOCK_SIMS)
+            yield sims, [(repeat(name), cols, repeat(fmt_float(seconds)))
+                         for name, cols, seconds in fits]
+
+
+def _columns(records, *fields) -> list[np.ndarray]:
+    """Each named field of ``records``, a ``SimulationRecords`` or any
+    iterable of ``SimulationRecord``s, as one array in record order."""
+    if isinstance(records, SimulationRecords):
+        return [records.column(field) for field in fields]
+    rows = list(records)
+    return [np.array([getattr(r, field) for r in rows]) for field in fields]
+
+
 RECORDS_CSV_HEADER = ",".join(SimulationRecord._fields)
 BIAS_CSV_HEADER = ",".join(BiasAggregate._fields)
-# One row of each CSV; "%.17g" is ``fmt_float``'s format.  A record's
+# One row of each CSV; "%.17g" is ``fmt_float``'s format.  A records row
+# takes its "N,sim," and ",alpha_true,beta_true," texts, its estimator and
+# its runtime_s text as strings, so a block formats each of them once;
 # ``converged`` is written as false/true.
-_RECORD_ROW = "%d,%d,%s" + ",%.17g" * 7 + ",%d,%s,%.17g"
+_RECORD_ROW = "%s%s%s" + "%.17g," * 5 + "%d,%s,%s\n"
 _BOOL_TEXT = ("false", "true")
 _BIAS_ROW = "%d,%s,%d,%d" + ",%.17g" * 4
 _CURVES_ROW = "%s" + ",%.17g" * 5
@@ -203,13 +295,12 @@ def _fit_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep(cfg: ExperimentConfig, starmap, workers: int) -> list:
+def _sweep(cfg: ExperimentConfig, starmap, workers: int) -> SimulationRecords:
     """Draw each size in contiguous shards of sims, at most one per worker
     and none empty; then fit every size at once, one ``fit_batch`` per
     estimator.  ``starmap(fn, args)`` runs ``fn(*a)`` for each ``a`` in
     ``args`` and yields the results in order.  Every row of a fit is scored
-    by one KL call against the truths, and the records interleave the
-    estimators sim by sim."""
+    by one KL call against the truths, and the records keep the columns."""
     k, n = cfg.sims_per_size, min(workers, cfg.sims_per_size)
     cols = np.concatenate(list(starmap(_draw_shard, [
         (cfg, size, range(k * i // n, k * (i + 1) // n))
@@ -218,21 +309,18 @@ def _sweep(cfg: ExperimentConfig, starmap, workers: int) -> list:
     fits = starmap(_timed_fit, [(name, batch, cfg.fit)
                                 for name in cfg.estimators])
     truth = SimpleNamespace(alpha=cols[0], beta=cols[1])
-    sizes = np.repeat(cfg.sizes, k).tolist()
-    sims = list(range(k)) * len(cfg.sizes)
-    truth_cols = cols[:2].tolist()
-    per_estimator = []
-    for name, (fit, seconds) in zip(cfg.estimators, fits):
-        est = (fit.alpha, fit.beta, kl_divergence(truth, fit),
-               fit.alpha - truth.alpha, fit.beta - truth.beta,
-               fit.iterations, fit.converged)
-        per_estimator.append(map(
-            SimulationRecord, sizes, sims, repeat(name), *truth_cols,
-            *(c.tolist() for c in est), repeat(seconds / fit.alpha.size)))
-    return list(chain.from_iterable(zip(*per_estimator)))
+    per_fit, runtimes = [], []
+    for fit, seconds in fits:
+        per_fit.append((fit.alpha, fit.beta, kl_divergence(truth, fit),
+                        fit.alpha - truth.alpha, fit.beta - truth.beta,
+                        fit.iterations, fit.converged))
+        runtimes.append(seconds / fit.alpha.size)
+    sims = (np.repeat(cfg.sizes, k), np.tile(np.arange(k), len(cfg.sizes)),
+            truth.alpha, truth.beta)
+    return SimulationRecords(sims, cfg.estimators, per_fit, runtimes)
 
 
-def run_kl_experiment(cfg: ExperimentConfig) -> list[SimulationRecord]:
+def run_kl_experiment(cfg: ExperimentConfig) -> SimulationRecords:
     """All simulation records, in (N, sim, estimator table) order.
 
     Samples are drawn and reduced in chunks of at most
@@ -245,11 +333,11 @@ def run_kl_experiment(cfg: ExperimentConfig) -> list[SimulationRecord]:
     draws in one contiguous shard of sims per worker and size, then one
     fit per estimator; the pool's workers are terminated when the sweep
     returns or raises.  Else both run here through ``itertools.starmap``,
-    one shard per size.  KL and records are built here.  ``runtime_s`` is
-    an estimator's ``fit_batch`` wall time, measured in the process that
-    ran it, divided by its fits over all sizes.  A fit whose scalar
-    version raises a domain error becomes a converged=False row with NaN
-    estimates; other errors propagate.
+    one shard per size.  KL and the record columns are built here.
+    ``runtime_s`` is an estimator's ``fit_batch`` wall time, measured in
+    the process that ran it, divided by its fits over all sizes.  A fit
+    whose scalar version raises a domain error becomes a converged=False
+    row with NaN estimates; other errors propagate.
     """
     workers = _fit_workers()
     # No "fork" start method, or a thread that a forked child could inherit
@@ -262,32 +350,31 @@ def run_kl_experiment(cfg: ExperimentConfig) -> list[SimulationRecord]:
         return _sweep(cfg, pool.starmap, workers)
 
 
-def aggregate_bias(records: list[SimulationRecord]) -> list[BiasAggregate]:
+def aggregate_bias(records) -> list[BiasAggregate]:
     """Mean and n-1 standard deviation of the bias per estimator and N.
 
     Rows with NaN estimates are excluded and counted as failed.  Groups
     keep the order of their first record.
     """
-    groups: dict[tuple[int, str], list[SimulationRecord]] = {}
-    for r in records:
-        groups.setdefault((r.N, r.estimator), []).append(r)
+    sizes, names, bias_a, bias_b = _columns(
+        records, "N", "estimator", "bias_alpha", "bias_beta")
     out = []
-    for (size, name), rows in groups.items():
-        ba = np.array([r.bias_alpha for r in rows])
-        bb = np.array([r.bias_beta for r in rows])
+    for size, name in dict.fromkeys(zip(sizes.tolist(), names.tolist())):
+        rows = (sizes == size) & (names == name)
+        ba, bb = bias_a[rows], bias_b[rows]
         ok = np.isfinite(ba) & np.isfinite(bb)
         used = int(ok.sum())
         std_a = float(np.std(ba[ok], ddof=1)) if used >= 2 else math.nan
         std_b = float(np.std(bb[ok], ddof=1)) if used >= 2 else math.nan
         mean_a = float(np.mean(ba[ok])) if used else math.nan
         mean_b = float(np.mean(bb[ok])) if used else math.nan
-        out.append(BiasAggregate(size, name, used, len(rows) - used,
+        out.append(BiasAggregate(size, name, used, ba.size - used,
                                  mean_a, std_a, mean_b, std_b))
     return out
 
 
 def run_bias_experiment(cfg: ExperimentConfig) -> tuple[list[BiasAggregate],
-                                                        list[SimulationRecord]]:
+                                                        SimulationRecords]:
     """Bias study: the KL sweep's raw records plus per-(estimator, N)
     aggregates for the error-bar summaries."""
     records = run_kl_experiment(cfg)
@@ -342,15 +429,14 @@ def wilcoxon_rank_sum(xs, ys) -> tuple[float, float]:
     return u1, min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
 
 
-def kl_by_estimator(records: list[SimulationRecord],
-                    size: int) -> dict[str, np.ndarray]:
-    """Finite KL values per estimator at one sample size."""
-    out: dict[str, list[float]] = {}
-    for r in records:
-        if r.N == size:
-            out.setdefault(r.estimator, []).append(r.kl)
-    return {name: np.array([v for v in vals if math.isfinite(v)])
-            for name, vals in out.items()}
+def kl_by_estimator(records, size: int) -> dict[str, np.ndarray]:
+    """Finite KL values per estimator at one sample size, estimators in
+    the order of their first record."""
+    sizes, names, kl = _columns(records, "N", "estimator", "kl")
+    at = sizes == size
+    finite = at & np.isfinite(kl)
+    return {name: kl[finite & (names == name)]
+            for name in dict.fromkeys(names[at].tolist())}
 
 
 def emit_prior_posterior_curves(stats: SufficientStats,
@@ -395,26 +481,28 @@ def _is_stdout(path: str) -> bool:
         return False
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` whole or not at all: to a temp file, then renamed
-    over ``path``.  The file open on stdout (``/dev/stdout``, or the file
-    stdout is redirected to) is written through ``sys.stdout``, so that
-    text printed before and after keeps its place.  Any other target that
-    exists and is not a regular file (a symlink, FIFO or device) is
-    written in place, as a rename would replace it.  The mode is
-    ``open(path, "w")``'s: 0o666 less the umask for a new file, the old
-    mode for an existing one."""
+def _atomic_write(path: str, blocks) -> None:
+    """Stream the text blocks of ``blocks`` to ``path``, whole or not at
+    all: to a temp file, then renamed over ``path``; if a block raises,
+    the temp file is removed and ``path`` is left as it was.  The file
+    open on stdout (``/dev/stdout``, or the file stdout is redirected to)
+    is written through ``sys.stdout``, so that text printed before and
+    after keeps its place.  Any other target that exists and is not a
+    regular file (a symlink, FIFO or device) is written in place, as a
+    rename would replace it.  Neither of these two is written whole or not
+    at all.  The mode is ``open(path, "w")``'s: 0o666 less the umask for a
+    new file, the old mode for an existing one."""
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and _is_stdout(path):
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         sys.stdout.flush()
         return
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
         return
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f"tmp{os.urandom(8).hex()}.tmp")
@@ -423,7 +511,7 @@ def _atomic_write(path: str, text: str) -> None:
         with os.fdopen(fd, "w") as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
-            fh.write(text)
+            fh.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -436,14 +524,44 @@ def _csv(header: str, row: str, rows) -> str:
     return "\n".join([header, *map(row.__mod__, rows)]) + "\n"
 
 
-def records_to_csv(records: list[SimulationRecord]) -> str:
-    return _csv(RECORDS_CSV_HEADER, _RECORD_ROW,
-                (r[:11] + (_BOOL_TEXT[r.converged], r.runtime_s)
-                 for r in records))
+def _csv_rows(sims, groups) -> str:
+    """Records CSV rows of a block of simulations.  ``sims`` holds the
+    N, sim, alpha_true and beta_true lists, one entry per simulation; each
+    of ``groups`` is (estimator names, the seven ``_FIT_FIELDS`` lists,
+    runtime_s texts), one entry per simulation.  The rows interleave the
+    groups simulation by simulation."""
+    heads = list(map("%d,%d,".__mod__, zip(*sims[:2])))
+    truths = list(map(",%.17g,%.17g,".__mod__, zip(*sims[2:])))
+    return "".join(chain.from_iterable(zip(*(
+        map(_RECORD_ROW.__mod__, zip(heads, names, truths, *cols[:6],
+                                     map(_BOOL_TEXT.__getitem__, cols[6]),
+                                     seconds))
+        for names, cols, seconds in groups))))
 
 
-def write_records_csv(records: list[SimulationRecord], path: str) -> None:
-    _atomic_write(path, records_to_csv(records))
+def _transposed(records):
+    # ``_csv_rows``'s arguments for any iterable of records: a block of
+    # rows at a time, each row a simulation with one group of its own.
+    rows = iter(records)
+    while block := list(islice(rows, _BLOCK_SIMS)):
+        n, sim, names, alpha, beta, *cols, seconds = zip(*block)
+        yield (n, sim, alpha, beta), [(names, cols, map(fmt_float, seconds))]
+
+
+def _record_blocks(records):
+    """The records CSV, a block of rows at a time."""
+    yield RECORDS_CSV_HEADER + "\n"
+    yield from starmap(_csv_rows, records._csv_blocks()
+                       if isinstance(records, SimulationRecords)
+                       else _transposed(records))
+
+
+def records_to_csv(records) -> str:
+    return "".join(_record_blocks(records))
+
+
+def write_records_csv(records, path: str) -> None:
+    _atomic_write(path, _record_blocks(records))
 
 
 def read_records_csv(path: str) -> list[SimulationRecord]:
@@ -462,8 +580,8 @@ def read_records_csv(path: str) -> list[SimulationRecord]:
 
 
 def write_bias_csv(aggregates: list[BiasAggregate], path: str) -> None:
-    _atomic_write(path, _csv(BIAS_CSV_HEADER, _BIAS_ROW, aggregates))
+    _atomic_write(path, [_csv(BIAS_CSV_HEADER, _BIAS_ROW, aggregates)])
 
 
 def write_curves_csv(rows: list[tuple], path: str) -> None:
-    _atomic_write(path, _csv(CURVES_CSV_HEADER, _CURVES_ROW, rows))
+    _atomic_write(path, [_csv(CURVES_CSV_HEADER, _CURVES_ROW, rows)])

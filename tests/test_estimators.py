@@ -821,6 +821,13 @@ class TestFitBatch:
                     want.params.alpha, want.params.beta, want.iterations,
                     want.converged, want.residual), (name, stats)
 
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(stats_rows(), min_size=1, max_size=6),
+           options=st.sampled_from(BATCH_OPTIONS))
+    def test_matches_scalar_fits_bitwise_on_arrays(self, rows, options):
+        _on_arrays(TestFitBatch.test_matches_scalar_fits_bitwise, self, rows,
+                   options)
+
     def test_failed_elements_are_nan(self):
         # n = 1, a constant sample and moments that overflow float64 start
         # the whole-batch fit at NaN or inf, next to valid rows.
@@ -850,6 +857,83 @@ class TestFitBatch:
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
             fit_batch("XX", StatsBatch.pack([compute_stats([1.0, 2.0])]))
+
+
+SCALAR_ROWS = estimators._SCALAR_ROWS
+
+
+def _on_arrays(test, *args):
+    # The property tests' batches of up to 6 rows finish on floats from
+    # the start; with 0 scalar rows they run on arrays to the end.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_SCALAR_ROWS", 0)
+        test.hypothesis.inner_test(*args)
+
+
+def _sweep_like_rows(count, seed):
+    # Samples of 20 or 50 values from truths in the sweep's box.
+    rng = np.random.default_rng(seed)
+    return [compute_stats(sample(InvGammaParams(rng.uniform(2.5, 15.0),
+                                                rng.uniform(1.0, 50.0)),
+                                 (20, 50)[i % 2], rng))
+            for i in range(count)]
+
+
+class TestScalarHandOver:
+    """Once few rows are live, ``_iterate`` finishes each on floats, with
+    the bits of the array loop run to the end."""
+
+    BATCHES = {
+        # 40 n = 1 rows leave after one step, and 12 rows finish on floats.
+        "one array step": StatsBatch.pack(
+            [compute_stats([2.0])] * 40 + _sweep_like_rows(12, 1)),
+        "sweep-like": StatsBatch.pack(_sweep_like_rows(60, 2)),
+    }
+    OPTIONS = {
+        "default": FitOptions(),
+        "capped": FitOptions(conv=ConvergenceConfig(max_iter=7)),
+        "failures": FitOptions(poly_prior=PolyShapePrior(1.0, 1e12, 0.0)),
+    }
+
+    @pytest.mark.parametrize("options", sorted(OPTIONS))
+    def test_mid_run_hand_over_is_bitwise(self, options, monkeypatch):
+        opts = self.OPTIONS[options]
+        caps = []
+        fixed_point = estimators._fixed_point
+
+        def recording(step, op, alpha, consts, conv):
+            caps.append(conv.max_iter)
+            return fixed_point(step, op, alpha, consts, conv)
+
+        for batch in self.BATCHES.values():
+            for name in ESTIMATORS:
+                monkeypatch.setattr(estimators, "_SCALAR_ROWS", 0)
+                want = fit_batch(name, batch, opts)
+                monkeypatch.setattr(estimators, "_SCALAR_ROWS", SCALAR_ROWS)
+                monkeypatch.setattr(estimators, "_fixed_point", recording)
+                got = fit_batch(name, batch, opts)
+                monkeypatch.setattr(estimators, "_fixed_point", fixed_point)
+                for field in ("alpha", "beta", "iterations", "converged",
+                              "residual", "failed"):
+                    assert (getattr(got, field).tobytes()
+                            == getattr(want, field).tobytes()), (name, field)
+        # Every batch's first step runs on arrays, so each run goes on
+        # from a step the arrays took.
+        assert caps and all(0 < cap < opts.conv.max_iter for cap in caps)
+        assert opts.conv.max_iter - 1 in caps
+
+    @pytest.mark.parametrize("rows", [3, 30])
+    def test_cap_of_one(self, rows):
+        # With max_iter = 1 no step is left after the array loop's one
+        # step, and a batch of 3 rows runs its one step on floats.
+        batch = StatsBatch.pack(_sweep_like_rows(rows, 3))
+        opts = FitOptions(conv=ConvergenceConfig(max_iter=1))
+        for name in ("ML1", "BL1"):
+            got = fit_batch(name, batch, opts)
+            assert got.iterations.tolist() == [1] * rows
+            assert got.alpha.tolist() == [
+                fit_by_name(name, stats, opts).params.alpha
+                for stats in _sweep_like_rows(rows, 3)]
 
 
 @st.composite
@@ -914,3 +998,9 @@ class TestFloat64Contract:
                             got.converged[k]) == (
                         r.params.alpha, r.params.beta, r.iterations,
                         r.converged), (name, stats)
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(samples=st.lists(float64_samples(), min_size=1, max_size=6))
+    def test_fit_or_typed_error_on_arrays(self, samples):
+        _on_arrays(TestFloat64Contract.test_fit_or_typed_error, self, samples)

@@ -40,6 +40,8 @@ from invgamma.harness import (
     CURVES_CSV_HEADER,
     DEFAULT_CURVE_VARIANTS,
     RECORDS_CSV_HEADER,
+    SimulationRecord,
+    SimulationRecords,
     _midranks,
     aggregate_bias,
     child_rng,
@@ -50,6 +52,7 @@ from invgamma.harness import (
     write_curves_csv,
     write_records_csv,
 )
+from conftest import traced_peak
 
 SMALL = ExperimentConfig(sizes=(40, 80), sims_per_size=12, base_seed=77)
 
@@ -183,7 +186,9 @@ class TestRecords:
         def broken(y):
             raise TypeError("broken kernel")
 
-        monkeypatch.setattr(specfun._ARRAY_OPS, "inv_digamma", broken)
+        # A batch this small finishes its rows on floats: break both tables.
+        for ops in (specfun._ARRAY_OPS, specfun._FLOAT_OPS):
+            monkeypatch.setattr(ops, "inv_digamma", broken)
         cfg = ExperimentConfig(sizes=(30,), sims_per_size=2,
                                estimators=("MM", "ML1"))
         # Inline, and raised in a forked fit worker.
@@ -216,6 +221,57 @@ class TestRecords:
     def test_size_list_validation(self, sizes, msg):
         with pytest.raises(ValueError, match=f"^{msg}$"):
             ExperimentConfig(sizes=sizes)
+
+
+class TestSimulationRecords:
+    """A sweep's records are columns; rows are built when they are read."""
+
+    def test_a_sequence_of_rows(self, small_records):
+        rows = list(small_records)
+        assert isinstance(small_records, SimulationRecords)
+        assert len(small_records) == len(rows) == 2 * 12 * 5
+        assert [type(v) for v in rows[0]] == [
+            int, int, str, *[float] * 7, int, bool, float]
+        for i in (0, 7, 59, -1, -len(rows)):
+            assert small_records[i] == rows[i]
+        for cut in (slice(None, None, -1), slice(3, 9), slice(-7, None, 2)):
+            assert small_records[cut] == rows[cut]
+        assert small_records == rows and rows == small_records
+        assert small_records != rows[:-1]
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                small_records[i]
+
+    def test_columns_are_the_fields_of_the_rows(self, small_records):
+        rows = list(small_records)
+        for i, field in enumerate(SimulationRecord._fields):
+            assert small_records.column(field).tolist() == [r[i] for r in rows]
+
+    @pytest.mark.parametrize("block", [1, 5, 7])
+    def test_blocks_do_not_show(self, small_records, block, monkeypatch):
+        rows, text = list(small_records), records_to_csv(small_records)
+        monkeypatch.setattr(harness, "_BLOCK_SIMS", block)
+        assert list(small_records) == rows
+        assert records_to_csv(small_records) == records_to_csv(rows) == text
+
+    def test_summaries_read_columns_or_rows(self, small_records):
+        rows = list(small_records)
+        assert aggregate_bias(small_records) == aggregate_bias(rows)
+        for size in SMALL.sizes:
+            by_column = kl_by_estimator(small_records, size)
+            by_row = kl_by_estimator(rows, size)
+            assert list(by_column) == list(by_row) == list(ESTIMATORS)
+            for name in ESTIMATORS:
+                assert by_column[name].tobytes() == by_row[name].tobytes()
+        assert aggregate_bias([]) == [] and kl_by_estimator([], 40) == {}
+
+    def test_memory(self, tmp_path):
+        # Columns and streamed blocks: no row objects or whole CSV text.
+        cfg = ExperimentConfig(sizes=(20, 50), sims_per_size=1500)
+        records = run_kl_experiment(cfg)  # and whatever it imports
+        assert traced_peak(run_kl_experiment, cfg) < 2e6
+        assert traced_peak(write_records_csv, records,
+                           str(tmp_path / "records.csv")) < 1e6
 
 
 class TestEstimatorTable:
@@ -442,6 +498,29 @@ class TestCsv:
             assert a.alpha_hat == b.alpha_hat
             assert a.kl == b.kl
 
+    def test_written_text_of_every_kind_of_records(self, tmp_path):
+        # Columns, rows, reversed rows and rows read back, with NaN rows.
+        records = run_kl_experiment(TestFitWorkers.CONFIGS["failures"])
+        path = tmp_path / "records.csv"
+        write_records_csv(records, str(path))
+        back = read_records_csv(str(path))
+        for kind in (records, list(records), records[::-1], back):
+            write_records_csv(kind, str(path))
+            assert path.read_text() == records_to_csv(kind)
+        header, *lines = records_to_csv(records).splitlines(keepends=True)
+        assert records_to_csv(back) == records_to_csv(records)
+        assert records_to_csv(records[::-1]) == "".join([header, *lines[::-1]])
+        assert records_to_csv([]) == header
+
+    def test_signed_zeros_stay_apart(self, tmp_path):
+        # -0.0 == 0.0 in Python; each is written as it was read.
+        path = tmp_path / "zeros.csv"
+        text = RECORDS_CSV_HEADER + "\n" + "".join(
+            f"20,{i},MM,{z},{z},{z},{z},{z},{z},{z},0,true,{z}\n"
+            for i, z in enumerate(("0", "-0", "0", "-0")))
+        path.write_text(text)
+        assert records_to_csv(read_records_csv(str(path))) == text
+
     def test_booleans_lowercase(self, small_records):
         body = records_to_csv(small_records).splitlines()[1:]
         for line in body:
@@ -515,8 +594,24 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="rename refused"):
-            harness._atomic_write(str(tmp_path / "out.csv"), "a\n")
+            harness._atomic_write(str(tmp_path / "out.csv"), ["a\n"])
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_failed_block_leaves_the_old_file(self, exists, tmp_path):
+        out = tmp_path / "out.csv"
+        if exists:
+            out.write_bytes(b"old,file\n1,2\n")
+
+        def blocks():
+            yield "a,b\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            harness._atomic_write(str(out), blocks())
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"] * exists
+        if exists:
+            assert out.read_bytes() == b"old,file\n1,2\n"
 
     def test_fifo_stays_a_fifo(self, tmp_path):
         fifo = tmp_path / "out.csv"
@@ -525,7 +620,7 @@ class TestAtomicWrite:
         reader = threading.Thread(target=lambda: got.append(fifo.read_text()),
                                   daemon=True)
         reader.start()
-        harness._atomic_write(str(fifo), "a,b\n1,2\n")
+        harness._atomic_write(str(fifo), iter(["a,b\n", "1,2\n"]))
         reader.join(timeout=10)
         assert got == ["a,b\n1,2\n"]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
@@ -537,8 +632,8 @@ class TestAtomicWrite:
         old.chmod(0o604)
         mask = os.umask(0o027)
         try:
-            harness._atomic_write(str(new), "a\n")
-            harness._atomic_write(str(old), "b\n")
+            harness._atomic_write(str(new), ["a\n"])
+            harness._atomic_write(str(old), ["b\n"])
         finally:
             os.umask(mask)
         assert stat.S_IMODE(new.stat().st_mode) == 0o640
