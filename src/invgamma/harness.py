@@ -7,8 +7,11 @@ counts and wall-clock time per fit.  Emission is order-normalized CSV so
 identical configs produce identical files (runtime column excepted).
 Records and bias aggregates are ``NamedTuple``s: a CSV header is its
 tuple's field names.  A sweep's records are kept as columns, in a
-``SimulationRecords`` that builds its rows only when they are read, and
-the records CSV is formatted and written in blocks of rows.
+``SimulationRecords`` that builds its rows only when they are read; a
+list of records converts to the same columns, one simulation per row,
+before it is written or summarized.  The records CSV is formatted and
+written in blocks of rows, each row's fields but the truth pair
+formatted per row.
 
 Sweeps run batched: each estimator fits all simulations of all sizes in
 one ``fit_batch`` call, bit-identical to the scalar fitters; ``runtime_s``
@@ -34,7 +37,7 @@ import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, starmap
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -141,11 +144,11 @@ class BiasAggregate(NamedTuple):
     std_bias_beta: float
 
 
-# The fields a sweep holds once per simulation, and once per simulation
-# and estimator.
+# The fields a sweep holds once per simulation, and per estimator (a
+# group) once per simulation.
 _SIM_FIELDS = ("N", "sim", "alpha_true", "beta_true")
-_FIT_FIELDS = ("alpha_hat", "beta_hat", "kl", "bias_alpha", "bias_beta",
-               "iterations", "converged")
+_GROUP_FIELDS = tuple(f for f in SimulationRecord._fields
+                      if f not in _SIM_FIELDS)
 # Simulations per block of rows that records are built or written in.
 _BLOCK_SIMS = 128
 
@@ -154,45 +157,56 @@ class SimulationRecords(Sequence):
     """A sweep's records, read-only, in (N, sim, estimator table) order.
 
     It holds columns: the four ``_SIM_FIELDS`` once per simulation, and
-    per estimator its name, its seven ``_FIT_FIELDS`` and its
-    ``runtime_s``.  ``SimulationRecord`` rows are built only when the
+    per group (a sweep's estimator) its nine ``_GROUP_FIELDS`` once per
+    simulation.  ``SimulationRecord`` rows are built only when the
     records are iterated, indexed or sliced (a slice is a list), a block
     of simulations at a time; ``column`` reads a field as one array.
     """
 
-    def __init__(self, sims, names, fits, runtimes):
+    def __init__(self, sims, groups):
         self._sims = sims  # four arrays, one entry per simulation
-        self._names = names
-        self._fits = fits  # per estimator, seven arrays
-        self._runtimes = runtimes
+        self._groups = groups  # per group, nine such arrays
+
+    @classmethod
+    def _of(cls, records) -> "SimulationRecords":
+        """``records`` if it is a ``SimulationRecords``; else the rows of
+        an iterable of ``SimulationRecord``s, read whole, each row one
+        simulation of a single group."""
+        if isinstance(records, cls):
+            return records
+        values = dict(zip(SimulationRecord._fields, zip(*records)))
+        sims, group = ([np.array(values.get(f, ())) for f in fields]
+                       for fields in (_SIM_FIELDS, _GROUP_FIELDS))
+        return cls(sims, [group])
 
     def __len__(self):
-        return len(self._sims[0]) * len(self._names)
+        return len(self._sims[0]) * len(self._groups)
 
     def _block(self, lo: int, hi: int):
         """Sims ``lo`` to ``hi`` as lists: the four per-sim columns, then
-        per estimator its name, its seven columns and its runtime_s."""
+        per group its nine columns."""
         return [c[lo:hi].tolist() for c in self._sims], [
-            (name, [c[lo:hi].tolist() for c in cols], seconds)
-            for name, cols, seconds in zip(self._names, self._fits,
-                                           self._runtimes)]
+            [c[lo:hi].tolist() for c in cols] for cols in self._groups]
 
-    def _rows(self, lo: int, hi: int):
-        sims, fits = self._block(lo, hi)
+    def _blocks(self):
+        for lo in range(0, len(self._sims[0]), _BLOCK_SIMS):
+            yield self._block(lo, lo + _BLOCK_SIMS)
+
+    @staticmethod
+    def _rows(sims, groups):
         return chain.from_iterable(zip(*(
-            map(SimulationRecord, *sims[:2], repeat(name), *sims[2:], *cols,
-                repeat(seconds))
-            for name, cols, seconds in fits)))
+            map(SimulationRecord, *sims[:2], name, *sims[2:], *cols)
+            for name, *cols in groups)))
 
     def __iter__(self):
-        for lo in range(0, len(self._sims[0]), _BLOCK_SIMS):
-            yield from self._rows(lo, lo + _BLOCK_SIMS)
+        for block in self._blocks():
+            yield from self._rows(*block)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
-        sim, est = divmod(range(len(self))[index], len(self._names))
-        return list(self._rows(sim, sim + 1))[est]
+        sim, group = divmod(range(len(self))[index], len(self._groups))
+        return list(self._rows(*self._block(sim, sim + 1)))[group]
 
     def __eq__(self, other):
         if not isinstance(other, (list, SimulationRecords)):
@@ -203,38 +217,19 @@ class SimulationRecords(Sequence):
         """One field of every record, in record order."""
         if field in _SIM_FIELDS:
             return np.repeat(self._sims[_SIM_FIELDS.index(field)],
-                             len(self._names))
-        if field == "estimator":
-            return np.tile(np.array(self._names), len(self._sims[0]))
-        if field == "runtime_s":
-            return np.tile(self._runtimes, len(self._sims[0]))
-        i = _FIT_FIELDS.index(field)
-        return np.stack([cols[i] for cols in self._fits], axis=1).ravel()
-
-    def _csv_blocks(self):
-        # ``_csv_rows``'s arguments, a block of simulations at a time.
-        for lo in range(0, len(self._sims[0]), _BLOCK_SIMS):
-            sims, fits = self._block(lo, lo + _BLOCK_SIMS)
-            yield sims, [(repeat(name), cols, repeat(fmt_float(seconds)))
-                         for name, cols, seconds in fits]
-
-
-def _columns(records, *fields) -> list[np.ndarray]:
-    """Each named field of ``records``, a ``SimulationRecords`` or any
-    iterable of ``SimulationRecord``s, as one array in record order."""
-    if isinstance(records, SimulationRecords):
-        return [records.column(field) for field in fields]
-    rows = list(records)
-    return [np.array([getattr(r, field) for r in rows]) for field in fields]
+                             len(self._groups))
+        i = _GROUP_FIELDS.index(field)
+        return np.stack([cols[i] for cols in self._groups], axis=1).ravel()
 
 
 RECORDS_CSV_HEADER = ",".join(SimulationRecord._fields)
 BIAS_CSV_HEADER = ",".join(BiasAggregate._fields)
 # One row of each CSV; "%.17g" is ``fmt_float``'s format.  A records row
-# takes its "N,sim," and ",alpha_true,beta_true," texts, its estimator and
-# its runtime_s text as strings, so a block formats each of them once;
-# ``converged`` is written as false/true.
-_RECORD_ROW = "%s%s%s" + "%.17g," * 5 + "%d,%s,%s\n"
+# takes its "N,sim," and ",alpha_true,beta_true," texts as strings, so a
+# block formats each of them once per simulation; every other field,
+# runtime_s too, is formatted per row, and ``converged`` is written as
+# false/true.
+_RECORD_ROW = "%s%s%s" + "%.17g," * 5 + "%d,%s,%.17g\n"
 _BOOL_TEXT = ("false", "true")
 _BIAS_ROW = "%d,%s,%d,%d" + ",%.17g" * 4
 _CURVES_ROW = "%s" + ",%.17g" * 5
@@ -309,15 +304,15 @@ def _sweep(cfg: ExperimentConfig, starmap, workers: int) -> SimulationRecords:
     fits = starmap(_timed_fit, [(name, batch, cfg.fit)
                                 for name in cfg.estimators])
     truth = SimpleNamespace(alpha=cols[0], beta=cols[1])
-    per_fit, runtimes = [], []
-    for fit, seconds in fits:
-        per_fit.append((fit.alpha, fit.beta, kl_divergence(truth, fit),
-                        fit.alpha - truth.alpha, fit.beta - truth.beta,
-                        fit.iterations, fit.converged))
-        runtimes.append(seconds / fit.alpha.size)
+    m = truth.alpha.size
+    groups = [(np.broadcast_to(name, m), fit.alpha, fit.beta,
+               kl_divergence(truth, fit), fit.alpha - truth.alpha,
+               fit.beta - truth.beta, fit.iterations, fit.converged,
+               np.broadcast_to(seconds / m, m))
+              for name, (fit, seconds) in zip(cfg.estimators, fits)]
     sims = (np.repeat(cfg.sizes, k), np.tile(np.arange(k), len(cfg.sizes)),
             truth.alpha, truth.beta)
-    return SimulationRecords(sims, cfg.estimators, per_fit, runtimes)
+    return SimulationRecords(sims, groups)
 
 
 def run_kl_experiment(cfg: ExperimentConfig) -> SimulationRecords:
@@ -356,8 +351,8 @@ def aggregate_bias(records) -> list[BiasAggregate]:
     Rows with NaN estimates are excluded and counted as failed.  Groups
     keep the order of their first record.
     """
-    sizes, names, bias_a, bias_b = _columns(
-        records, "N", "estimator", "bias_alpha", "bias_beta")
+    sizes, names, bias_a, bias_b = map(SimulationRecords._of(records).column, (
+        "N", "estimator", "bias_alpha", "bias_beta"))
     out = []
     for size, name in dict.fromkeys(zip(sizes.tolist(), names.tolist())):
         rows = (sizes == size) & (names == name)
@@ -432,7 +427,8 @@ def wilcoxon_rank_sum(xs, ys) -> tuple[float, float]:
 def kl_by_estimator(records, size: int) -> dict[str, np.ndarray]:
     """Finite KL values per estimator at one sample size, estimators in
     the order of their first record."""
-    sizes, names, kl = _columns(records, "N", "estimator", "kl")
+    sizes, names, kl = map(SimulationRecords._of(records).column,
+                           ("N", "estimator", "kl"))
     at = sizes == size
     finite = at & np.isfinite(kl)
     return {name: kl[finite & (names == name)]
@@ -473,8 +469,15 @@ def fmt_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+# Paths that name fd 1 whether or not a link for them exists on the host.
+_STDOUT_PATHS = ("/dev/stdout", "/dev/fd/1", "/proc/self/fd/1")
+
+
 def _is_stdout(path: str) -> bool:
-    """Whether ``path`` names the file open on fd 1."""
+    """Whether ``path`` names the file open on fd 1: one of
+    ``_STDOUT_PATHS``, or the file that fd 1 is open on."""
+    if os.path.abspath(path) in _STDOUT_PATHS:
+        return True
     try:
         return os.path.samestat(os.stat(path), os.fstat(1))
     except OSError:
@@ -485,21 +488,22 @@ def _atomic_write(path: str, blocks) -> None:
     """Stream the text blocks of ``blocks`` to ``path``, whole or not at
     all: to a temp file, then renamed over ``path``; if a block raises,
     the temp file is removed and ``path`` is left as it was.  The file
-    open on stdout (``/dev/stdout``, or the file stdout is redirected to)
-    is written through ``sys.stdout``, so that text printed before and
-    after keeps its place.  Any other target that exists and is not a
-    regular file (a symlink, FIFO or device) is written in place, as a
-    rename would replace it.  Neither of these two is written whole or not
-    at all.  The mode is ``open(path, "w")``'s: 0o666 less the umask for a
-    new file, the old mode for an existing one."""
+    open on stdout (``/dev/stdout`` even where that link is missing, or
+    the file stdout is redirected to) is written through ``sys.stdout``,
+    so that text printed before and after keeps its place.  Any other
+    target that exists and is not a regular file (a symlink, FIFO or
+    device) is written in place, as a rename would replace it.  Neither
+    of these two is written whole or not at all.  The mode is
+    ``open(path, "w")``'s: 0o666 less the umask for a new file, the old
+    mode for an existing one."""
+    if _is_stdout(path):
+        sys.stdout.writelines(blocks)
+        sys.stdout.flush()
+        return
     try:
         mode = os.lstat(path).st_mode
     except FileNotFoundError:
         mode = None
-    if mode is not None and _is_stdout(path):
-        sys.stdout.writelines(blocks)
-        sys.stdout.flush()
-        return
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w") as fh:
             fh.writelines(blocks)
@@ -525,35 +529,23 @@ def _csv(header: str, row: str, rows) -> str:
 
 
 def _csv_rows(sims, groups) -> str:
-    """Records CSV rows of a block of simulations.  ``sims`` holds the
-    N, sim, alpha_true and beta_true lists, one entry per simulation; each
-    of ``groups`` is (estimator names, the seven ``_FIT_FIELDS`` lists,
-    runtime_s texts), one entry per simulation.  The rows interleave the
-    groups simulation by simulation."""
+    """Records CSV rows of a block of simulations, a ``SimulationRecords``
+    block: the N, sim, alpha_true and beta_true lists, and per group its
+    nine ``_GROUP_FIELDS`` lists, one entry per simulation.  The rows
+    interleave the groups simulation by simulation."""
     heads = list(map("%d,%d,".__mod__, zip(*sims[:2])))
     truths = list(map(",%.17g,%.17g,".__mod__, zip(*sims[2:])))
     return "".join(chain.from_iterable(zip(*(
         map(_RECORD_ROW.__mod__, zip(heads, names, truths, *cols[:6],
                                      map(_BOOL_TEXT.__getitem__, cols[6]),
                                      seconds))
-        for names, cols, seconds in groups))))
-
-
-def _transposed(records):
-    # ``_csv_rows``'s arguments for any iterable of records: a block of
-    # rows at a time, each row a simulation with one group of its own.
-    rows = iter(records)
-    while block := list(islice(rows, _BLOCK_SIMS)):
-        n, sim, names, alpha, beta, *cols, seconds = zip(*block)
-        yield (n, sim, alpha, beta), [(names, cols, map(fmt_float, seconds))]
+        for names, *cols, seconds in groups))))
 
 
 def _record_blocks(records):
     """The records CSV, a block of rows at a time."""
     yield RECORDS_CSV_HEADER + "\n"
-    yield from starmap(_csv_rows, records._csv_blocks()
-                       if isinstance(records, SimulationRecords)
-                       else _transposed(records))
+    yield from starmap(_csv_rows, SimulationRecords._of(records)._blocks())
 
 
 def records_to_csv(records) -> str:

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import stat
+import struct
 import subprocess
 import sys
 import textwrap
@@ -13,6 +14,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
 from invgamma import (
@@ -40,6 +43,7 @@ from invgamma.harness import (
     CURVES_CSV_HEADER,
     DEFAULT_CURVE_VARIANTS,
     RECORDS_CSV_HEADER,
+    BiasAggregate,
     SimulationRecord,
     SimulationRecords,
     _midranks,
@@ -65,6 +69,20 @@ def _recording_draw_shard(*args):
     # appends to its own copy of the list.
     _DRAW_PIDS.append(os.getpid())
     return _DRAW_SHARD(*args)
+
+
+# Floats of every kind a record can hold, the edge cases drawn often.
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                                     5e-324, 2.5e-310, 1e308, -1e308]),
+                    st.floats())
+_RECORDS = st.builds(SimulationRecord, st.integers(0, 3), st.integers(0, 99),
+                     st.sampled_from(ESTIMATORS), *[_FLOATS] * 7,
+                     st.integers(0, 1000), st.booleans(), _FLOATS)
+
+
+def _typed_bits(record):
+    return [(type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+            for v in record]
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +283,52 @@ class TestSimulationRecords:
                 assert by_column[name].tobytes() == by_row[name].tobytes()
         assert aggregate_bias([]) == [] and kl_by_estimator([], 40) == {}
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(_RECORDS, max_size=40), as_generator=st.booleans())
+    def test_rows_convert_to_the_same_columns(self, rows, as_generator):
+        # Any rows, in any order: the CSV is the row's fields formatted one
+        # by one, the rows come back with their types and float bits, and
+        # the summaries are a group-by over the rows.
+        def given_rows():
+            return (r for r in rows) if as_generator else rows
+
+        text = "".join(
+            ",".join(["%d" % r.N, "%d" % r.sim, r.estimator,
+                      *("%.17g" % v for v in r[3:10]), "%d" % r.iterations,
+                      ("false", "true")[r.converged],
+                      "%.17g" % r.runtime_s]) + "\n" for r in rows)
+        assert records_to_csv(given_rows()) == RECORDS_CSV_HEADER + "\n" + text
+        back = list(SimulationRecords._of(given_rows()))
+        assert [_typed_bits(r) for r in back] == [_typed_bits(r) for r in rows]
+
+        groups = {}
+        for r in rows:
+            groups.setdefault((r.N, r.estimator), []).append(r)
+        want = []
+        with np.errstate(all="ignore"):  # means of 1e308s overflow
+            for (size, name), group in groups.items():
+                used = [r for r in group if math.isfinite(r.bias_alpha)
+                        and math.isfinite(r.bias_beta)]
+                ba, bb = (np.array([getattr(r, f) for r in used])
+                          for f in ("bias_alpha", "bias_beta"))
+                n = len(used)
+                want.append(BiasAggregate(
+                    size, name, n, len(group) - n,
+                    float(np.mean(ba)) if n else math.nan,
+                    float(np.std(ba, ddof=1)) if n >= 2 else math.nan,
+                    float(np.mean(bb)) if n else math.nan,
+                    float(np.std(bb, ddof=1)) if n >= 2 else math.nan))
+            assert repr(aggregate_bias(given_rows())) == repr(want)
+        for size in {r.N for r in rows} | {-1}:
+            at = [r for r in rows if r.N == size]
+            kls = {name: [r.kl for r in at
+                          if r.estimator == name and math.isfinite(r.kl)]
+                   for name in dict.fromkeys(r.estimator for r in at)}
+            got = kl_by_estimator(given_rows(), size)
+            assert list(got) == list(kls)
+            assert [got[name].tobytes() for name in got] == [
+                np.array(v, dtype=np.float64).tobytes() for v in kls.values()]
+
     def test_memory(self, tmp_path):
         # Columns and streamed blocks: no row objects or whole CSV text.
         cfg = ExperimentConfig(sizes=(20, 50), sims_per_size=1500)
@@ -405,6 +469,14 @@ class TestFitWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
         assert harness._fit_workers() == 3
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_worker_count_without_affinity(self, cpus, workers, monkeypatch):
+        # No affinity masks on the platform: every CPU, and one when the
+        # count is unknown.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert harness._fit_workers() == workers
 
     @pytest.mark.parametrize("sims", [1, 2])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -625,6 +697,44 @@ class TestAtomicWrite:
         assert got == ["a,b\n1,2\n"]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("out", harness._STDOUT_PATHS)
+    def test_fd_1_without_its_link_is_stdout(self, out, tmp_path, capsys,
+                                             monkeypatch):
+        # A host with no such link: the CSV still goes to stdout, before
+        # the summary, and nothing under /dev or /proc is created or
+        # replaced (the guards fail the test before the real call).
+        args = ["benchmark", "--sizes", "20", "--sims", "12",
+                "--estimators", "MM,ML1"]
+        assert cli.main([*args, "--out", str(tmp_path / "sep.csv")]) == 0
+        want = (tmp_path / "sep.csv").read_text() + capsys.readouterr().out
+
+        def missing(real):
+            def call(path, *args, **kwargs):
+                if path == out:
+                    raise FileNotFoundError(2, "No such file", path)
+                return real(path, *args, **kwargs)
+            return call
+
+        def guarded(real):
+            def call(*args, **kwargs):
+                for path in args[:2]:
+                    if str(path).startswith(("/dev/", "/proc/")):
+                        pytest.fail(f"{real.__name__}({path!r})")
+                return real(*args, **kwargs)
+            return call
+
+        # Inline: a forked pool's workers open /dev/null.
+        monkeypatch.setattr(harness, "_fit_workers", lambda: 1)
+        for name, wrap in [("lstat", missing), ("stat", missing),
+                           ("open", guarded), ("replace", guarded)]:
+            monkeypatch.setattr(os, name, wrap(getattr(os, name)))
+        assert cli.main([*args, "--out", out]) == 0
+        strip = lambda text: [line.rsplit(",", 1)[0]
+                              for line in text.splitlines()]
+        got = capsys.readouterr().out
+        assert got.startswith(RECORDS_CSV_HEADER + "\n")
+        assert strip(got) == strip(want)
 
     def test_mode_follows_umask_or_existing_file(self, tmp_path):
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"

@@ -159,6 +159,13 @@ class TestInverseDigamma:
         assert inv_digamma(math.nextafter(LOG_DBL_MAX, 710.0)) == math.inf
         assert inv_digamma(1e300) == math.inf
 
+    def test_nan_from_the_kernel_raises(self, monkeypatch):
+        # A NaN root means the Newton kernel is broken: an error, not a value.
+        monkeypatch.setattr(specfun, "_inv_digamma", lambda y: math.nan)
+        msg = r"^inv_digamma failed to converge for y=2\.5$"
+        with pytest.raises(RuntimeError, match=msg):
+            inv_digamma(2.5)
+
 
 class TestDerivativeConsistency:
     """Central differences tie ln_gamma -> digamma -> trigamma."""
