@@ -37,6 +37,7 @@ from .estimators import (
 )
 from .harness import (
     DEFAULT_CURVE_VARIANTS,
+    BiasAggregate,
     ESTIMATORS,
     ExperimentConfig,
     emit_prior_posterior_curves,
@@ -307,33 +308,27 @@ def cmd_kl(args) -> None:
     print(fmt_float(kl))
 
 
-def _print_kl_summary(cfg: ExperimentConfig, records) -> None:
-    for size in cfg.sizes:
-        by_est = kl_by_estimator(records, size)
-        medians = "  ".join(
-            f"{name}={np.median(by_est[name]):.6g}"
-            for name in cfg.estimators if by_est.get(name, np.array([])).size)
+def _print_kl_summary(records) -> None:
+    for size, by_est in kl_by_estimator(records).items():
+        medians = "  ".join(f"{name}={np.median(kl):.6g}"
+                            for name, kl in by_est.items() if kl.size)
         print(f"N={size}  median KL: {medians}")
-        pvals = []
-        for a, b in itertools.combinations(cfg.estimators, 2):
-            xa, xb = by_est.get(a, ()), by_est.get(b, ())
-            # The rank-sum test needs finite KLs on both sides.
-            if not (len(xa) and len(xb)) or len(xa) + len(xb) < 10:
-                continue
-            _, p = wilcoxon_rank_sum(xa, xb)
-            pvals.append(f"{a}-{b}={p:.3g}")
+        # The rank-sum test needs finite KLs on both sides.
+        pvals = [f"{a}-{b}={wilcoxon_rank_sum(xa, xb)[1]:.3g}"
+                 for (a, xa), (b, xb) in itertools.combinations(
+                     by_est.items(), 2)
+                 if xa.size and xb.size and xa.size + xb.size >= 10]
         if pvals:
             print(f"N={size}  rank-sum p: {'  '.join(pvals)}")
 
 
 def cmd_benchmark(args) -> None:
-    cfg = _config_from_args(args)
-    records = run_kl_experiment(cfg)
+    records = run_kl_experiment(_config_from_args(args))
     _write(write_records_csv, records, "--out", args.out)
     excluded = int(np.count_nonzero(~np.isfinite(records.column("kl"))))
     if excluded:
         print(f"excluded {excluded} failed fits from summaries")
-    _print_kl_summary(cfg, records)
+    _print_kl_summary(records)
 
 
 def cmd_bias(args) -> None:
@@ -341,12 +336,9 @@ def cmd_bias(args) -> None:
     _write(write_records_csv, records, "--out", args.out)
     if args.agg_out:
         _write(write_bias_csv, aggregates, "--agg-out", args.agg_out)
-    print("N estimator n_used n_failed mean_bias_alpha std_bias_alpha "
-          "mean_bias_beta std_bias_beta")
+    print(" ".join(BiasAggregate._fields))
     for a in aggregates:
-        print(f"{a.N} {a.estimator} {a.n_used} {a.n_failed} "
-              f"{a.mean_bias_alpha:.6g} {a.std_bias_alpha:.6g} "
-              f"{a.mean_bias_beta:.6g} {a.std_bias_beta:.6g}")
+        print(("%d %s %d %d" + " %.6g" * 4) % a)
 
 
 def cmd_curves(args) -> None:
@@ -355,7 +347,9 @@ def cmd_curves(args) -> None:
     truth = InvGammaParams(args.alpha, args.beta)
     scale_prior = ScaleGammaPrior(args.prior_d, args.prior_e)
     rng = np.random.default_rng(args.seed)
-    grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
+    # An infinite end gives NaN points, which the curve refuses.
+    with np.errstate(invalid="ignore", over="ignore"):
+        grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
     if args.n == 0:
         stats = SufficientStats.empty()
     else:

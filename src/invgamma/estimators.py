@@ -524,14 +524,24 @@ def bl1_log_posterior_curve(stats: SufficientStats,
 
     With ``stats = SufficientStats.empty()`` it is the log prior.
     ``beta_hat`` defaults to d/e with no data, else BL1's fitted scale.
+    A grid that is not finite and > 0, or on which the curve overflows
+    float64, raises ``ValueError``.
     """
     grid = np.asarray(alphas, dtype=np.float64)
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
         raise ValueError("alpha grid must be finite and > 0")
     log_a_hat, b_hat, c_hat, log_beta = _bl1_terms(stats, shape_prior,
                                                    scale_prior, beta_hat)
-    return ((-grid - 1.0) * log_a_hat + grid * c_hat * log_beta
-            - b_hat * _ARRAY_OPS.lgamma(grid))
+    try:
+        lgamma = _ARRAY_OPS.lgamma(grid)
+    except OverflowError:  # above about 2.6e305
+        lgamma = np.full_like(grid, math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = ((-grid - 1.0) * log_a_hat + grid * c_hat * log_beta
+                 - b_hat * lgamma)
+    if not np.isfinite(curve).all():
+        raise ValueError("log posterior overflows float64 on this alpha grid")
+    return curve
 
 
 def _bl1_mode(stats, shape_prior, scale_prior, beta_hat):

@@ -9,9 +9,10 @@ Records and bias aggregates are ``NamedTuple``s: a CSV header is its
 tuple's field names.  A sweep's records are kept as columns, in a
 ``SimulationRecords`` that builds its rows only when they are read; a
 list of records converts to the same columns, one simulation per row,
-before it is written or summarized.  The records CSV is formatted and
-written in blocks of rows, each row's fields but the truth pair
-formatted per row.
+before it is written or summarized.  The summaries read one grouping
+of the records by (N, estimator), each column read once.  The records
+CSV is formatted and written in blocks of rows, each row's fields but
+the truth pair formatted per row.
 
 Sweeps run batched: each estimator fits all simulations of all sizes in
 one ``fit_batch`` call, bit-identical to the scalar fitters; ``runtime_s``
@@ -345,18 +346,25 @@ def run_kl_experiment(cfg: ExperimentConfig) -> SimulationRecords:
         return _sweep(cfg, pool.starmap, workers)
 
 
+def _grouped(records, *fields):
+    """Per (N, estimator) group, in the order of its first record: N, the
+    estimator and the group's array of each of ``fields``, in record
+    order.  The records are converted and each column read once."""
+    records = SimulationRecords._of(records)
+    sizes, names, *cols = map(records.column, ("N", "estimator", *fields))
+    for size, name in dict.fromkeys(zip(sizes.tolist(), names.tolist())):
+        rows = (sizes == size) & (names == name)
+        yield size, name, *(c[rows] for c in cols)
+
+
 def aggregate_bias(records) -> list[BiasAggregate]:
     """Mean and n-1 standard deviation of the bias per estimator and N.
 
     Rows with NaN estimates are excluded and counted as failed.  Groups
     keep the order of their first record.
     """
-    sizes, names, bias_a, bias_b = map(SimulationRecords._of(records).column, (
-        "N", "estimator", "bias_alpha", "bias_beta"))
     out = []
-    for size, name in dict.fromkeys(zip(sizes.tolist(), names.tolist())):
-        rows = (sizes == size) & (names == name)
-        ba, bb = bias_a[rows], bias_b[rows]
+    for size, name, ba, bb in _grouped(records, "bias_alpha", "bias_beta"):
         ok = np.isfinite(ba) & np.isfinite(bb)
         used = int(ok.sum())
         std_a = float(np.std(ba[ok], ddof=1)) if used >= 2 else math.nan
@@ -424,15 +432,14 @@ def wilcoxon_rank_sum(xs, ys) -> tuple[float, float]:
     return u1, min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
 
 
-def kl_by_estimator(records, size: int) -> dict[str, np.ndarray]:
-    """Finite KL values per estimator at one sample size, estimators in
-    the order of their first record."""
-    sizes, names, kl = map(SimulationRecords._of(records).column,
-                           ("N", "estimator", "kl"))
-    at = sizes == size
-    finite = at & np.isfinite(kl)
-    return {name: kl[finite & (names == name)]
-            for name in dict.fromkeys(names[at].tolist())}
+def kl_by_estimator(records) -> dict[int, dict[str, np.ndarray]]:
+    """Finite KL values per sample size and estimator, ``{N: {estimator:
+    kl}}``, both in the order of their first record; an estimator whose
+    fits all failed at a size maps to an empty array."""
+    out = {}
+    for size, name, kl in _grouped(records, "kl"):
+        out.setdefault(size, {})[name] = kl[np.isfinite(kl)]
+    return out
 
 
 def emit_prior_posterior_curves(stats: SufficientStats,
@@ -557,17 +564,24 @@ def write_records_csv(records, path: str) -> None:
 
 
 def read_records_csv(path: str) -> list[SimulationRecord]:
+    """A records CSV's rows; a row that is not 13 fields of the record's
+    types, ``converged`` false or true, raises ``ValueError``."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != RECORDS_CSV_HEADER:
         raise ValueError(f"{path}: unexpected header")
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         f = line.split(",")
-        records.append(SimulationRecord(
-            int(f[0]), int(f[1]), f[2], float(f[3]), float(f[4]), float(f[5]),
-            float(f[6]), float(f[7]), float(f[8]), float(f[9]), int(f[10]),
-            f[11] == "true", float(f[12])))
+        try:
+            if len(f) != len(SimulationRecord._fields):
+                raise ValueError
+            records.append(SimulationRecord(
+                int(f[0]), int(f[1]), f[2], *map(float, f[3:10]), int(f[10]),
+                bool(_BOOL_TEXT.index(f[11])), float(f[12])))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: not a records row: "
+                             f"{line!r}") from None
     return records
 
 

@@ -134,7 +134,7 @@ def test_criterion_05_accuracy_ordering(bench):
     records, elapsed = bench
     assert elapsed < 300.0
     for size in (500, 2500):
-        by = kl_by_estimator(records, size)
+        by = kl_by_estimator(records)[size]
         mm_med = np.median(by["MM"])
         for name in ("ML1", "ML2", "BL1", "BL2"):
             assert mm_med > np.median(by[name]), (size, name)

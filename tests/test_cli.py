@@ -27,7 +27,11 @@ from invgamma import (
     sample,
 )
 from invgamma import cli
-from invgamma.harness import RECORDS_CSV_HEADER, read_records_csv
+from invgamma.harness import (
+    RECORDS_CSV_HEADER,
+    SimulationRecords,
+    read_records_csv,
+)
 
 
 def run_cli(*args, stdin: str | None = None):
@@ -694,6 +698,18 @@ class TestBenchmark:
         assert runs[0] == runs[1]
         assert runs[0][0].startswith("N=20  median KL: MM=")
 
+    def test_summary_reads_the_columns_a_fixed_number_of_times(
+            self, tmp_path, capsys):
+        # One pass over the record columns serves every size.
+        counts = []
+        for sizes in ("20,50", "20,30,40,50"):
+            with mock.patch.object(SimulationRecords, "column", autospec=True,
+                                   side_effect=SimulationRecords.column) as col:
+                assert cli.main(["benchmark", "--sizes", sizes, "--sims", "8",
+                                 "--out", str(tmp_path / "r.csv")]) == 0
+            counts.append(col.call_count)
+        assert counts[0] == counts[1]
+
     def test_unwritable_output_exits_5(self, tmp_path):
         res = run_cli("benchmark", "--sizes", "40", "--sims", "2",
                       "--seed", "1", "--out", "/nonexistent-dir/x.csv")
@@ -788,12 +804,19 @@ class TestCurves:
         res = run_cli("curves", "--alpha", "10", "--beta", "25", "--n", "40",
                       "--grid-lo", lo, "--grid-hi", hi, "--out", str(out))
         assert res.returncode == 2
-        msg = "invgamma: alpha grid must be finite and > 0\n"
-        if hi == "inf":  # numpy's linspace warns on an infinite end first
-            assert res.stderr.endswith("\n" + msg)
-            assert "Traceback" not in res.stderr
-        else:
-            assert res.stderr == msg
+        assert res.stderr == "invgamma: alpha grid must be finite and > 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hi", ["1e305", "1e308"])
+    def test_overflowing_grid_exits_2(self, tmp_path, hi):
+        # lgamma overflows above about 2.6e305, the log posterior at
+        # n = 50 below that; neither may print a numpy warning.
+        out = tmp_path / "c.csv"
+        res = run_cli("curves", "--alpha", "10", "--beta", "25", "--n", "50",
+                      "--grid-hi", hi, "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr == ("invgamma: log posterior overflows float64 "
+                              "on this alpha grid\n")
         assert not out.exists()
 
 

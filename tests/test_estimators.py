@@ -409,6 +409,15 @@ class TestBl1PosteriorCurve:
             bl1_log_posterior_curve(demo_stats, ShapePriorABC(),
                                     ScaleGammaPrior(), [1.0, -2.0])
 
+    @pytest.mark.parametrize("hi", [1e305, 1e308])
+    def test_rejects_grid_beyond_float64(self, demo_stats, hi):
+        # lgamma overflows at 1e308; the sum of the terms at 1e305.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows float64"):
+                bl1_log_posterior_curve(demo_stats, ShapePriorABC(),
+                                        ScaleGammaPrior(), [2.0, hi])
+
     def test_matches_lgamma_comprehension_bitwise(self, demo_stats):
         # Reference: the curve with a math.lgamma list comprehension.
         grid = np.concatenate([np.linspace(0.5, 20.0, 181),

@@ -276,12 +276,12 @@ class TestSimulationRecords:
         rows = list(small_records)
         assert aggregate_bias(small_records) == aggregate_bias(rows)
         for size in SMALL.sizes:
-            by_column = kl_by_estimator(small_records, size)
-            by_row = kl_by_estimator(rows, size)
+            by_column = kl_by_estimator(small_records)[size]
+            by_row = kl_by_estimator(rows)[size]
             assert list(by_column) == list(by_row) == list(ESTIMATORS)
             for name in ESTIMATORS:
                 assert by_column[name].tobytes() == by_row[name].tobytes()
-        assert aggregate_bias([]) == [] and kl_by_estimator([], 40) == {}
+        assert aggregate_bias([]) == [] and kl_by_estimator([]).get(40, {}) == {}
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(_RECORDS, max_size=40), as_generator=st.booleans())
@@ -324,7 +324,7 @@ class TestSimulationRecords:
             kls = {name: [r.kl for r in at
                           if r.estimator == name and math.isfinite(r.kl)]
                    for name in dict.fromkeys(r.estimator for r in at)}
-            got = kl_by_estimator(given_rows(), size)
+            got = kl_by_estimator(given_rows()).get(size, {})
             assert list(got) == list(kls)
             assert [got[name].tobytes() for name in got] == [
                 np.array(v, dtype=np.float64).tobytes() for v in kls.values()]
@@ -561,6 +561,20 @@ class TestCsv:
         path.write_text(CURVES_CSV_HEADER + "\n")
         with pytest.raises(ValueError, match="unexpected header"):
             read_records_csv(str(path))
+
+    @pytest.mark.parametrize("row", [
+        "20,0,MM,1,2,3,4,5,6,7,8,True,9",  # converged not false or true
+        "20,0,MM,1,2,3,4,5,6,7,8,yes,9",
+        "20,0,MM,1,2,3,4,5,6,7,8,true,9,10",  # 14 fields
+        "20,0,MM,1,2,3,4,5,6,7,8,true",  # 12 fields
+    ])
+    def test_read_rejects_a_malformed_row(self, tmp_path, row):
+        path = tmp_path / "records.csv"
+        good = "20,1,MM,1,2,3,4,5,6,7,8,false,9"
+        path.write_text("\n".join([RECORDS_CSV_HEADER, good, row, good]) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_records_csv(str(path))
+        assert str(info.value) == f"{path}: line 3: not a records row: {row!r}"
 
     def test_floats_roundtrip_exactly(self, small_records, tmp_path):
         path = tmp_path / "records.csv"
@@ -959,7 +973,7 @@ class TestCurves:
 
 class TestKlByEstimator:
     def test_filters_by_size_and_finiteness(self, small_records):
-        by = kl_by_estimator(small_records, 40)
+        by = kl_by_estimator(small_records)[40]
         assert set(by) == {"MM", "ML1", "ML2", "BL1", "BL2"}
         assert all(v.size == 12 for v in by.values())
         assert all(np.isfinite(v).all() for v in by.values())
