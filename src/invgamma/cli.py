@@ -69,20 +69,15 @@ class _Exit(Exception):
 
 
 def _add_prior_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prior-a", type=float, default=1.0,
-                   help="shape prior a (default 1)")
-    p.add_argument("--prior-b", type=float, default=0.01,
-                   help="shape prior b (default 0.01)")
-    p.add_argument("--prior-c", type=float, default=0.01,
-                   help="shape prior c (default 0.01)")
-    p.add_argument("--prior-d", type=float, default=0.01,
-                   help="scale prior shape d (default 0.01)")
-    p.add_argument("--prior-e", type=float, default=0.01,
-                   help="scale prior rate e (default 0.01)")
-    p.add_argument("--w1", type=float, default=0.0,
-                   help="polynomial shape prior w1 (default 0, flat)")
-    p.add_argument("--w2", type=float, default=0.0,
-                   help="polynomial shape prior w2 (default 0, flat)")
+    for flag, default, help_text in (
+            ("--prior-a", 1.0, "shape prior a (default 1)"),
+            ("--prior-b", 0.01, "shape prior b (default 0.01)"),
+            ("--prior-c", 0.01, "shape prior c (default 0.01)"),
+            ("--prior-d", 0.01, "scale prior shape d (default 0.01)"),
+            ("--prior-e", 0.01, "scale prior rate e (default 0.01)"),
+            ("--w1", 0.0, "polynomial shape prior w1 (default 0, flat)"),
+            ("--w2", 0.0, "polynomial shape prior w2 (default 0, flat)")):
+        p.add_argument(flag, type=float, default=default, help=help_text)
 
 
 def _add_conv_flags(p: argparse.ArgumentParser) -> None:
@@ -94,10 +89,9 @@ def _add_conv_flags(p: argparse.ArgumentParser) -> None:
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
-        sizes = tuple(int(t) for t in text.split(",") if t.strip())
+        return tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}")
-    return sizes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,12 +268,9 @@ def cmd_fit(args) -> None:
         print(json.dumps(fields))
     else:
         for key, val in fields.items():
-            if isinstance(val, bool):
-                print(f"{key}={'true' if val else 'false'}")
-            elif isinstance(val, float):
-                print(f"{key}={fmt_float(val)}")
-            else:
-                print(f"{key}={val}")
+            text = (str(val).lower() if isinstance(val, bool) else
+                    fmt_float(val) if isinstance(val, float) else val)
+            print(f"{key}={text}")
 
 
 def cmd_sample(args) -> None:
@@ -350,17 +341,13 @@ def cmd_curves(args) -> None:
     # An infinite end gives NaN points, which the curve refuses.
     with np.errstate(invalid="ignore", over="ignore"):
         grid = np.linspace(args.grid_lo, args.grid_hi, args.grid_points)
-    if args.n == 0:
-        stats = SufficientStats.empty()
-    else:
-        stats = compute_stats(sample(truth, args.n, rng))
+    stats = (SufficientStats.empty() if args.n == 0 else
+             compute_stats(sample(truth, args.n, rng)))
     rows = emit_prior_posterior_curves(stats, DEFAULT_CURVE_VARIANTS,
                                        scale_prior, grid, args.alpha)
     _write(write_curves_csv, rows, "--out", args.out)
-    seen = {}
-    for (label, _, _, _, _, ah) in rows:
-        seen.setdefault(label, ah)
-    for label, ah in seen.items():
+    # Every row of a variant holds its alpha_hat.
+    for label, ah in {row[0]: row[5] for row in rows}.items():
         print(f"{label}  alpha_hat={ah:.6g}")
 
 

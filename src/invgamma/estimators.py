@@ -18,11 +18,14 @@ over specfun's kernel tables, float or array, and so is the fit around
 it, ``_run``, which takes its loop: ``_fixed_point`` on floats for
 ``fit_*``, or ``_iterate`` on masked float64 arrays for ``fit_batch``
 over a ``StatsBatch`` of many samples.  Floats divide by zero as arrays
-do, so both give the same bits; ``_fit`` then refuses a sample by one
-ordered list of checks, and ``fit_batch`` fails an element where one holds.
+do, so both give the same bits, and one ordered table, ``_REFUSALS``,
+decides for both which samples are refused and why: ``_fit`` raises the
+first refusal that holds, and ``fit_batch`` keeps its index as the
+element's ``reason``.
 """
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,10 +41,7 @@ class InsufficientDataError(ValueError):
 
 
 class DegenerateSampleError(ValueError):
-    """The moment initialization is undefined (zero variance) or infinite
-    (the moments overflow float64); sum(1/x) overflows, which leaves the
-    ML1/BL1 update undefined; the ML2/BL2 update divides by zero on a
-    near-constant sample; or the estimate is not finite and > 0."""
+    """The sample cannot be fitted: see ``_REFUSALS`` for each case."""
 
 
 class InvalidPosteriorError(RuntimeError):
@@ -69,7 +69,7 @@ class SufficientStats:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.n > 0 and not (self.mean > 0.0 and self.sum_inv > 0.0):
             raise ValueError("positive samples imply mean > 0 and sum_inv > 0")
-        if self.n < 2 and not math.isnan(self.var):  # fit_batch relies on it
+        if self.n < 2 and not math.isnan(self.var):
             raise ValueError(f"var must be NaN when n < 2, got {self.var!r}")
 
     @classmethod
@@ -274,11 +274,6 @@ def _fixed_point(step, op, alpha: float, consts, conv: ConvergenceConfig):
     return alpha, prev, it, res, False
 
 
-def _valid_estimate(op, alpha, beta):
-    # What ``InvGammaParams`` requires of an estimate.
-    return op.isfinite(alpha) & (alpha > 0.0) & op.isfinite(beta) & (beta > 0.0)
-
-
 def _guarded(op, alpha, nxt):
     # Updates below zero (or non-finite) fall back to the geometric mean
     # of the previous iterate and the update floored at 1e-8.
@@ -315,8 +310,8 @@ def _ml2_step(op, alpha, n, c_const):
     num = c_const - psi + op.log(n * alpha)
     den = alpha * alpha * (1.0 / alpha - psi1)
     inv = 1.0 / alpha + op.div(num, den)
-    # NaN where the update divides by zero, on floats as on arrays; ``_fit``
-    # reports it as a near-constant sample.  So in BL2.
+    # NaN where the update divides by zero, on floats as on arrays; it is
+    # refused as a near-constant sample (``_REFUSALS``).  So in BL2.
     return op.where((den == 0.0) | (inv == 0.0), math.nan,
                     _guarded(op, alpha, op.div(1.0, inv)))
 
@@ -387,13 +382,18 @@ def _spec(name: str) -> _Estimator:
         raise ValueError(f"unknown estimator {name!r}") from None
 
 
-def _run(op, drive, est: _Estimator, stats, options: FitOptions):
+_Run = namedtuple("_Run", "est start consts alpha prev iterations residual "
+                          "converged summary beta")
+
+
+def _run(op, drive, est: _Estimator, stats, options: FitOptions) -> _Run:
     """The fit of ``est`` on floats (``_FLOAT_OPS``, ``_fixed_point``) or
-    arrays (``_ARRAY_OPS``, ``_iterate``): (moment start, constants,
-    (alpha, prev, iterations, residual, converged), Laplace summary (mean,
-    precision, no interior maximum) or None, beta).  It refuses no sample
-    of n >= 1: each division that can meet zero is ``op.div``, so a sample
-    that cannot be fitted leaves NaN or inf, on floats as on arrays."""
+    arrays (``_ARRAY_OPS``, ``_iterate``): the moment start, constants,
+    the fixed point's alpha, prev, iterations, residual and converged, the
+    Laplace summary (mean, precision, no interior maximum) or None, and
+    beta.  It refuses no sample of n >= 1: each division that can meet
+    zero is ``op.div``, so a sample that cannot be fitted leaves NaN or
+    inf, on floats as on arrays; ``_refusal`` reads which refusal holds."""
     start = op.div(stats.mean * stats.mean, stats.var) + 2.0
     consts, run, summary = (), (start, start, 0, 0.0, True), None
     if est.step is not None:
@@ -401,46 +401,71 @@ def _run(op, drive, est: _Estimator, stats, options: FitOptions):
         run = drive(est.step, op, start, consts, options.conv)
         if est.posterior is not None:
             summary = est.posterior(op, *run[:2], *consts)
-    return start, consts, run, summary, est.beta(stats, options, run[0])
+    return _Run(est, start, consts, *run, summary,
+                est.beta(stats, options, run[0]))
+
+
+# Every refusal of a fit, in order: the exception, the condition under
+# which it refuses, on floats or elementwise on arrays (``op``), and its
+# message, both from the stats ``s`` and the ``_Run`` ``r``.
+_REFUSALS = (
+    (InsufficientDataError, lambda op, s, r: s.n < 2,
+     lambda name, s, r: f"moment initialization needs n >= 2, got n={s.n}"),
+    (DegenerateSampleError, lambda op, s, r: op.not_(s.var > 0.0),
+     lambda name, s, r: "sample variance is zero or undefined"),
+    (DegenerateSampleError, lambda op, s, r: op.not_(op.isfinite(r.start)),
+     lambda name, s, r: f"moment estimate of alpha is {r.start}: the "
+                        "sample's moments overflow float64"),
+    # Only the log of sum(1/x), or of BL1's e + sum(1/x), can overflow;
+    # c - c is 0 for a finite constant c, and NaN for any other.
+    (DegenerateSampleError, lambda op, s, r: sum(c - c for c in r.consts) != 0,
+     lambda name, s, r: ("sum(1/x)" if s.sum_inv == math.inf else
+                         "e + sum(1/x)") + " overflows float64, so the "
+                        f"{name} update is undefined"),
+    # ML2's and BL2's divisions by zero give a NaN step; a NaN from ML1's
+    # or BL1's inverse digamma fails as an estimate.
+    (DegenerateSampleError, lambda op, s, r: (r.alpha != r.alpha)
+                            & (r.est.step in (_ml2_step, _bl2_step)),
+     lambda name, s, r: f"update divides by zero at alpha={r.prev:g}; "
+                        "the sample is too close to constant"),
+    (InvalidPosteriorError, lambda op, s, r: r.summary is not None
+                            and r.converged & r.summary[2],
+     lambda name, s, r: "posterior has no interior maximum (Laplace mean "
+                        f"{r.summary[0]!r}, precision {r.summary[1]!r})"),
+    # What ``InvGammaParams`` requires of an estimate.
+    (DegenerateSampleError, lambda op, s, r: op.not_(
+        op.isfinite(r.alpha) & (r.alpha > 0.0) & op.isfinite(r.beta)
+        & (r.beta > 0.0)),
+     lambda name, s, r: f"{name} estimate alpha={r.alpha!r}, "
+                        f"beta={r.beta!r} is not finite and > 0"),
+)
+
+
+def _refusal(op, stats, run: _Run):
+    """The 1-based index of the first of ``_REFUSALS`` that holds, or 0:
+    an int on floats, an int array on arrays."""
+    reason = 0
+    for k in range(len(_REFUSALS), 0, -1):
+        reason = op.where(_REFUSALS[k - 1][1](op, stats, run), k, reason)
+    return reason
 
 
 def _fit(name: str, stats: SufficientStats,
          options: FitOptions = FitOptions()) -> FitReport:
     """The scalar driver: the estimator ``name`` on one sample's stats.
-    It raises the first refusal that holds, in the order below; all but
-    n < 2 are read from the run, and ``fit_batch`` fails where one holds."""
-    est = _ESTIMATORS[name]
-    if stats.n < 2:  # with n = 0, log(sum(1/x)) and n*alpha/sum(1/x) raise
-        raise InsufficientDataError(
-            f"moment initialization needs n >= 2, got n={stats.n}")
-    start, consts, (alpha, prev, it, res, conv), summary, beta = _run(
-        _FLOAT_OPS, _fixed_point, est, stats, options)
-    if not stats.var > 0.0:
-        raise DegenerateSampleError("sample variance is zero or undefined")
-    if not math.isfinite(start):
-        raise DegenerateSampleError(
-            f"moment estimate of alpha is {start}: the sample's moments "
-            "overflow float64")
-    # Only the log of sum(1/x), or of BL1's e + sum(1/x), can overflow.
-    if not all(map(math.isfinite, consts)):
-        stat = "sum(1/x)" if stats.sum_inv == math.inf else "e + sum(1/x)"
-        raise DegenerateSampleError(
-            f"{stat} overflows float64, so the {name} update is undefined")
-    # Now only ML2's and BL2's divisions by zero give a NaN step; a NaN
-    # from ML1's or BL1's inverse digamma fails as an estimate.
-    if math.isnan(alpha) and est.step in (_ml2_step, _bl2_step):
-        raise DegenerateSampleError(
-            f"update divides by zero at alpha={prev:g}; "
-            "the sample is too close to constant")
-    if conv and summary and summary[2]:
-        raise InvalidPosteriorError(
-            "posterior has no interior maximum (Laplace mean "
-            f"{summary[0]!r}, precision {summary[1]!r})")
-    if not _valid_estimate(_FLOAT_OPS, alpha, beta):
-        raise DegenerateSampleError(f"{name} estimate alpha={alpha!r}, "
-                                    f"beta={beta!r} is not finite and > 0")
-    return FitReport(InvGammaParams(alpha, beta), it, conv, res,
-                     None if summary is None else LaplaceSummary(*summary[:2]))
+    It raises the sample's ``_refusal``, with that index as ``reason``;
+    n < 2 skips the run (n = 0 would take log 0) and raises entry 1."""
+    run = None if stats.n < 2 else _run(_FLOAT_OPS, _fixed_point,
+                                        _ESTIMATORS[name], stats, options)
+    reason = 1 if run is None else _refusal(_FLOAT_OPS, stats, run)
+    if reason:
+        cls, _, message = _REFUSALS[reason - 1]
+        exc = cls(message(name, stats, run))
+        exc.reason = reason
+        raise exc
+    return FitReport(InvGammaParams(run.alpha, run.beta), run.iterations,
+                     run.converged, run.residual, None if run.summary is None
+                     else LaplaceSummary(*run.summary[:2]))
 
 
 def fit_mm(stats: SufficientStats) -> FitReport:
@@ -576,8 +601,10 @@ class StatsBatch:
 class BatchFit:
     """Per-element results of ``fit_batch``.
 
-    ``failed`` marks the elements whose scalar fit raises; their alpha,
-    beta and residual are NaN, iterations 0 and converged False.
+    ``reason`` (int8) is the ``_REFUSALS`` index that the element's scalar
+    fit raises with as its ``reason``, 0 where that fit returns; where it
+    is not 0 (``failed``), alpha, beta and residual are NaN, iterations 0
+    and converged False.
     """
 
     alpha: np.ndarray
@@ -585,7 +612,11 @@ class BatchFit:
     iterations: np.ndarray
     converged: np.ndarray
     residual: np.ndarray
-    failed: np.ndarray
+    reason: np.ndarray
+
+    @property
+    def failed(self) -> np.ndarray:
+        return self.reason != 0
 
 
 # Live rows at or below which ``_iterate`` finishes each row on floats:
@@ -602,8 +633,7 @@ def _iterate(step, op, alpha0, consts, conv: ConvergenceConfig):
     live, each finishes its own run in ``_fixed_point`` on floats, which
     gives the same bits.
     """
-    alpha = alpha0.copy()
-    prev = alpha0.copy()
+    alpha, prev = alpha0.copy(), alpha0.copy()
     iterations = np.zeros(alpha.size, dtype=np.int64)
     residual = np.full(alpha.size, math.inf)
     converged = np.zeros(alpha.size, dtype=bool)
@@ -639,18 +669,16 @@ def fit_batch(name: str, batch: StatsBatch,
     of ``batch``.
 
     Each element gets the alpha, beta, iterations, convergence flag and
-    residual of the scalar ``fit_*`` on its stats, bit for bit, or fails
-    where that fit refuses it (see ``_fit``): every refusal but the
-    posterior's leaves an estimate that is not finite and > 0.
+    residual of the scalar ``fit_*`` on its stats, bit for bit, or the
+    ``reason`` that fit raises with, from the same ``_refusal``.
     """
     # Python floats overflow to inf and turn inf - inf into NaN silently,
     # so these arrays do too.
     with np.errstate(all="ignore"):
-        _, _, (a, _, it, res, ok), summary, bt = _run(
-            _ARRAY_OPS, _iterate, _spec(name), batch, options)
-        good = _valid_estimate(_ARRAY_OPS, a, bt)
-    if summary is not None:
-        good &= ~(ok & summary[2])
-    return BatchFit(np.where(good, a, math.nan), np.where(good, bt, math.nan),
-                    np.where(good, it, 0), good & ok,
-                    np.where(good, res, math.nan), ~good)
+        run = _run(_ARRAY_OPS, _iterate, _spec(name), batch, options)
+        reason = _refusal(_ARRAY_OPS, batch, run).astype(np.int8)
+    ok = reason == 0
+    return BatchFit(np.where(ok, run.alpha, math.nan),
+                    np.where(ok, run.beta, math.nan),
+                    np.where(ok, run.iterations, 0), ok & run.converged,
+                    np.where(ok, run.residual, math.nan), reason)

@@ -8,26 +8,14 @@ identical configs produce identical files (runtime column excepted).
 Records and bias aggregates are ``NamedTuple``s: a CSV header is its
 tuple's field names.  A sweep's records are kept as columns, in a
 ``SimulationRecords`` that builds its rows only when they are read; a
-list of records converts to the same columns, one simulation per row,
-before it is written or summarized.  The summaries read one grouping
-of the records by (N, estimator), each column read once.  The records
-CSV is formatted and written in blocks of rows, each row's fields but
-the truth pair formatted per row.
+list of records converts to the same columns before it is written or
+summarized, by blocks of rows, or grouped by (N, estimator).
 
-Sweeps run batched: each estimator fits all simulations of all sizes in
-one ``fit_batch`` call, bit-identical to the scalar fitters; ``runtime_s``
-is that call's wall time over its number of fits.  Each ``BatchFit`` is
-scored by one array ``kl_divergence`` call against the truths of every
-size, and the records keep those columns.  With
-more than one CPU, the ``starmap`` of a ``fork`` ``multiprocessing.Pool``
-draws each size in contiguous shards of simulations, then runs the
-``fit_batch`` calls; else ``itertools.starmap`` runs both in this
-process.  A shard draws and reduces its simulations in chunks of rows,
-one array of at most ``distribution._BLOCK`` pairs per chunk, not one
-sample at a time.  Every simulation has its own seed and every fit is
-independent of its batch companions, so the records do not depend on
-the number of workers.
-Single fits (``fit_by_name``, ``invgamma fit``) run the scalar ``fit_*``.
+Sweeps run batched (see ``run_kl_experiment``): each estimator fits all
+simulations of all sizes in one ``fit_batch`` call, bit-identical to the
+scalar fitters, here or in a forked pool.  Every simulation has its own
+seed and every fit is independent of the others, so the records do not
+depend on the number of workers.  ``fit_by_name`` runs one scalar fit.
 """
 
 import math
@@ -422,13 +410,8 @@ def wilcoxon_rank_sum(xs, ys) -> tuple[float, float]:
     sigma2 = (n1 * n2 / 12.0) * ((m + 1.0) - tie_term)
     if sigma2 <= 0.0:
         return u1, 1.0
-    diff = u1 - mu
-    if diff > 0.0:
-        z = (diff - 0.5) / math.sqrt(sigma2)
-    elif diff < 0.0:
-        z = (diff + 0.5) / math.sqrt(sigma2)
-    else:
-        z = 0.0
+    # With the continuity correction: |U - mu| less half a rank.
+    z = (abs(u1 - mu) - 0.5) / math.sqrt(sigma2) if u1 != mu else 0.0
     return u1, min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
 
 

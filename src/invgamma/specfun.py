@@ -62,12 +62,13 @@ LOG_PATH = f"log {_log_path}, exp {_exp_path}"
 # calls the C library's per element.
 _FLOAT_OPS = SimpleNamespace(
     log=math.log, exp=math.exp, sqrt=math.sqrt, isfinite=math.isfinite,
-    lgamma=math.lgamma, any=bool, where=lambda c, a, b: a if c else b,
+    lgamma=math.lgamma, any=bool, not_=lambda c: not c,
+    where=lambda c, a, b: a if c else b,
     div=lambda a, b: a / b if b else a * math.inf)
 _ARRAY_OPS = SimpleNamespace(
     log=_clog, exp=_cexp, sqrt=np.sqrt, isfinite=np.isfinite,
     lgamma=lambda a: np.fromiter(map(math.lgamma, a.tolist()), np.float64, a.size),
-    any=np.ndarray.any, where=np.where, div=np.divide)
+    any=np.ndarray.any, not_=np.logical_not, where=np.where, div=np.divide)
 
 
 def _psi_psi1(op, x):

@@ -77,6 +77,7 @@ class TestSufficientStats:
     @pytest.mark.parametrize("fields", [
         (-1, math.nan, math.nan, 0.0, 0.0, 0.0),
         (3, -1.0, 1.0, 1.0, 0.0, 0.0),
+        (3, 0.0, 1.0, 1.0, 0.0, 0.0),
     ])
     def test_rejects_impossible_fields(self, fields):
         with pytest.raises(ValueError):
@@ -87,6 +88,10 @@ class TestSufficientStats:
             compute_stats([1.0, -1.0])
         with pytest.raises(ValueError):
             compute_stats([1.0, math.inf])
+        # A zero reaches no fitter, whose sum(1/x) would overflow instead.
+        with pytest.raises(ValueError,
+                           match=r"^samples must be finite and > 0$"):
+            compute_stats([0.0, 1.0, 2.0])
         with pytest.raises(InsufficientDataError):
             compute_stats([])
 
@@ -654,17 +659,28 @@ class TestRefusals:
     """Every way a scalar fit refuses a sample, with its exact message."""
 
     @pytest.mark.parametrize("case", REFUSALS)
-    def test_type_and_message(self, case):
+    def test_type_and_message(self, case, monkeypatch):
+        # fit_batch keeps the reason the scalar fit raises with, whether
+        # the row runs on floats or on arrays.
         x, options, refusals = REFUSALS[case]
         s = compute_stats(x)
+        batch = StatsBatch.pack([s])
         for name in ESTIMATORS:
+            reason = 0
             if name not in refusals:
                 fit_by_name(name, s, options)
-                continue
-            with pytest.raises(refusals[name][0]) as info:
-                fit_by_name(name, s, options)
-            assert type(info.value) is refusals[name][0], name
-            assert str(info.value) == refusals[name][1], name
+            else:
+                with pytest.raises(refusals[name][0]) as info:
+                    fit_by_name(name, s, options)
+                assert type(info.value) is refusals[name][0], name
+                assert str(info.value) == refusals[name][1], name
+                reason = info.value.reason
+                assert estimators._REFUSALS[reason - 1][0] is type(info.value)
+            for rows in (SCALAR_ROWS, 0):
+                monkeypatch.setattr(estimators, "_SCALAR_ROWS", rows)
+                got = fit_batch(name, batch, options)
+                assert got.reason.tolist() == [reason], (name, rows)
+                assert got.failed.tolist() == [reason != 0], (name, rows)
 
     def test_no_data(self):
         with pytest.raises(InsufficientDataError,
@@ -738,8 +754,7 @@ class TestMlAgreement:
 
 class TestConfigValidation:
     def test_stats_below_two_values_have_no_variance(self):
-        # fit_batch fails an n < 2 row because its NaN variance starts the
-        # fit at NaN, where the scalar fit raises InsufficientDataError.
+        # The n-1 variance of fewer than two values is undefined.
         with pytest.raises(ValueError, match="var must be NaN when n < 2"):
             SufficientStats(1, 2.0, 1.0, 0.5, 0.7, 0.7)
 
@@ -818,12 +833,15 @@ class TestFitBatch:
         batch = StatsBatch.pack(rows)
         for name in ESTIMATORS:
             got = fit_batch(name, batch, options)
+            assert (got.failed == (got.reason != 0)).all(), name
             for k, stats in enumerate(rows):
                 try:
                     want = fit_by_name(name, stats, options)
-                except SCALAR_RAISES:
+                except SCALAR_RAISES as exc:
+                    assert got.reason[k] == exc.reason, (name, stats)
                     assert got.failed[k], (name, stats)
                     continue
+                assert got.reason[k] == 0, (name, stats)
                 assert not got.failed[k], (name, stats)
                 assert (got.alpha[k], got.beta[k], got.iterations[k],
                         got.converged[k], got.residual[k]) == (
@@ -856,6 +874,8 @@ class TestFitBatch:
                         raises.append(True)
                 assert raises == [True, True, True, False, False], name
                 assert fit.failed.tolist() == raises, name
+                assert fit.reason.dtype == np.int8, name
+                assert fit.reason.tolist() == [1, 2, 3, 0, 0], name
                 bad = fit.failed
                 assert np.isnan(fit.alpha[bad]).all(), name
                 assert np.isnan(fit.beta[bad]).all(), name
@@ -923,7 +943,7 @@ class TestScalarHandOver:
                 got = fit_batch(name, batch, opts)
                 monkeypatch.setattr(estimators, "_fixed_point", fixed_point)
                 for field in ("alpha", "beta", "iterations", "converged",
-                              "residual", "failed"):
+                              "residual", "reason", "failed"):
                     assert (getattr(got, field).tobytes()
                             == getattr(want, field).tobytes()), (name, field)
         # Every batch's first step runs on arrays, so each run goes on
@@ -993,12 +1013,15 @@ class TestFloat64Contract:
             batch = StatsBatch.pack(rows)
             for name in ESTIMATORS:
                 got = fit_batch(name, batch, options)
+                assert (got.failed == (got.reason != 0)).all(), name
                 for k, stats in enumerate(rows):
                     try:
                         r = fit_by_name(name, stats, options)
-                    except SCALAR_RAISES:
+                    except SCALAR_RAISES as exc:
+                        assert got.reason[k] == exc.reason, (name, stats)
                         assert got.failed[k], (name, stats)
                         continue
+                    assert got.reason[k] == 0, (name, stats)
                     assert not got.failed[k], (name, stats)
                     assert 0 <= r.iterations <= options.conv.max_iter
                     assert r.converged == (r.residual <= options.conv.rel_tol)
