@@ -40,6 +40,14 @@ print(got)
 if {k: got[k] for k in want} != want:
     sys.exit(f"piped fit {got} differs from the in-process fit {want}")
 '
+  # The fit side never draws, so importing the CLI must not load
+  # numpy.random (about 6 MB of RSS): only a draw loads it.
+  PYTHONPATH=src python -c '
+import sys
+import invgamma.cli
+if "numpy.random" in sys.modules:
+    sys.exit("import invgamma.cli loads numpy.random")
+'
 }
 
 # Failures exit 2, 4 or 5 without a traceback.

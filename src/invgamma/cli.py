@@ -205,10 +205,21 @@ def _read_sample(path: str) -> np.ndarray:
                 arr = _parse_lines(chunk, first)
             parts.append(arr)
             first += len(chunk)
+            # The lines go before the next chunk's are read, not after.
+            del chunk, arr
     finally:
         if fh is not sys.stdin:
             fh.close()
-    return np.concatenate(parts or [np.empty(0)])
+    # One array of the sample, filled from its end: each part goes as soon
+    # as it is copied, so the parts and the array together hold about one
+    # copy of the sample in pages that are written.
+    x = np.empty(sum(map(len, parts)))
+    end = x.size
+    while parts:
+        part = parts.pop()
+        x[end - part.size:end] = part
+        end -= part.size
+    return x
 
 
 def _write(write, rows, flag: str, path: str) -> None:
@@ -282,10 +293,13 @@ def cmd_sample(args) -> None:
     if not ((x > 0.0).all() and np.isfinite(x).all()):
         raise ValueError(f"alpha={args.alpha:g}, beta={args.beta:g}: draws "
                          f"fall outside the positive finite float64 range")
+    # Text through sys.stdout, so that a caller can redirect it.
     for lo in range(0, x.size, _EMIT_CHUNK):
-        chunk = tuple(x[lo:lo + _EMIT_CHUNK].tolist())
+        chunk = x[lo:lo + _EMIT_CHUNK]
         # One C formatting call per chunk, with fmt_float's "%.17g" bytes.
-        sys.stdout.write(("%.17g\n" * len(chunk)) % chunk)
+        # Its tuple of floats is gone before the text is written (and
+        # encoded), so a chunk never holds both.
+        sys.stdout.write(("%.17g\n" * chunk.size) % tuple(chunk.tolist()))
 
 
 def cmd_kl(args) -> None:

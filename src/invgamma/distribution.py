@@ -5,6 +5,10 @@ E[log x] = log(beta) - digamma(alpha) and E[1/x] = alpha/beta, and the
 closed-form KL divergence between two Inverse Gamma distributions.
 """
 
+# Annotations stay text, so that importing this module does not load
+# numpy.random: only a draw needs it.
+from __future__ import annotations
+
 import functools
 import math
 import numbers
@@ -76,17 +80,19 @@ def moments(p: InvGammaParams) -> tuple[float, float]:
 
 # Pairs per acceptance block: a long row runs in blocks, and short rows
 # share one (see ``_rows_per_block``).  A long row draws its uniforms and
-# runs its tests one block at a time, so a call holds a round's normals,
-# its output and about four 64 KiB blocks (see ``sample``).  Those blocks
-# stay in the allocator's heap: with 16384 pairs and more (128 KiB and up),
-# blocks of 3 to 24 rows at N = 2500 and 5000 drew slower than one row at
-# a time, as glibc returned their pages to the system and faulted them in
-# again.
+# runs its tests one block at a time, so a call holds its row buffer and
+# about four 64 KiB blocks (see ``sample``).  Those blocks stay in the
+# allocator's heap: with 16384 pairs and more (128 KiB and up), blocks of
+# 3 to 24 rows at N = 2500 and 5000 drew slower than one row at a time,
+# as glibc returned their pages to the system and faulted them in again.
 _BLOCK = 8192
 
 
 def _round_pairs(want: int) -> int:
-    """Pairs a round draws when ``want`` values are still missing."""
+    """Pairs a round draws when ``want`` values are still missing.  It
+    grows by at least 1 per value, so a buffer of ``_round_pairs(n)``
+    holds ``filled`` values and the next round's pairs, for any
+    ``filled`` <= n."""
     return want + (want >> 4) + 16
 
 
@@ -141,25 +147,34 @@ def _gamma_mt_accept(z, u, d, c):
     return v[accept], accept
 
 
-def _fill_row(out: np.ndarray, filled: int, d: float, c: float,
-              rng: np.random.Generator) -> None:
-    """Fill ``out[filled:]`` with unit-rate Gamma draws, round by round:
-    each round draws m normals, then its m uniforms ``_BLOCK`` at a time,
-    tests each block and keeps the first accepted values it still needs.
-    Once the row is full, the round's remaining uniforms are drawn and
-    dropped, so the generator ends where one ``random(m)`` leaves it."""
-    n = out.size
+def _fill_row(n: int, head, d: float, c: float,
+              rng: np.random.Generator) -> np.ndarray:
+    """A row of n unit-rate Gamma draws that starts with the accepted
+    values ``head``: the first n values of a buffer of ``_round_pairs(n)``,
+    filled round by round.  Each round draws its m normals into the
+    buffer's free tail, then its m uniforms ``_BLOCK`` at a time, tests
+    each block and keeps the first accepted values it still needs.  They
+    are written behind the block under test, which a block's accepted
+    values (at most one per pair) never reach past.  Once the row is full,
+    the round's remaining uniforms are drawn and dropped, so the generator
+    ends where one ``random(m)`` leaves it."""
+    buf = np.empty(_round_pairs(n))
+    filled = len(head)
+    buf[:filled] = head
     while filled < n:
         m = _round_pairs(n - filled)
-        normals = rng.standard_normal(m)
-        for lo in range(0, m, _BLOCK):
-            uniforms = rng.random(min(_BLOCK, m - lo))
+        end = filled + m
+        # The size too: a generator proxy may count it.
+        rng.standard_normal(m, out=buf[filled:end])
+        for start in range(filled, end, _BLOCK):
+            uniforms = rng.random(min(_BLOCK, end - start))
             if filled < n:
-                got = _gamma_mt_accept(normals[lo:lo + _BLOCK], uniforms,
-                                       d, c)[0][:n - filled]
-                out[filled:filled + got.size] = got
+                got = _gamma_mt_accept(buf[start:start + uniforms.size],
+                                       uniforms, d, c)[0][:n - filled]
+                buf[filled:filled + got.size] = got
                 filled += got.size
                 del got  # not kept through the next block's test
+    return buf[:n]
 
 
 def _standard_gamma(alphas, n: int, rngs) -> np.ndarray:
@@ -167,31 +182,36 @@ def _standard_gamma(alphas, n: int, rngs) -> np.ndarray:
     Gamma(alphas[i]) drawn from ``rngs[i]``, bit for bit as one row alone
     draws it; shape < 1 via the power boost.
 
-    Several rows (as many as ``_rows_per_block`` allows) draw their first
-    rounds from their own generators, in the one-row order, and run the
-    tests as one block; each takes its first ``n`` accepted values, and a
-    row left short refills on its own generator.
+    One row alone is ``_fill_row``'s.  Several rows (as many as
+    ``_rows_per_block`` allows) draw their first rounds from their own
+    generators, in the one-row order, and run the tests as one block;
+    each takes its first ``n`` accepted values, and a row left short
+    refills on its own generator.
     """
     rows = len(rngs)
-    out = np.empty((rows, n), dtype=np.float64)
     consts = [_shape_constants(a) for a in alphas]
-    filled = [0] * rows  # accepted values per row
-    if rows > 1 and n > 0:
-        m = _round_pairs(n)
-        z = np.array([rng.standard_normal(m) for rng in rngs])
-        u = np.array([rng.random(m) for rng in rngs])
-        d, c = np.array(consts).T[:, :, None]
-        got, accept = _gamma_mt_accept(z, u, d, c)
-        if got.size:
-            counts = np.count_nonzero(accept, axis=1)
-            starts = np.cumsum(counts) - counts
-            # A short row's tail reads later rows' draws; its refill
-            # overwrites them.
-            np.take(got, starts[:, None] + np.arange(n), out=out, mode="clip")
-            filled = counts.tolist()
-    for i, got_i in enumerate(filled):
-        if got_i < n:
-            _fill_row(out[i], got_i, *consts[i], rngs[i])
+    if rows == 1:
+        out = _fill_row(n, (), *consts[0], rngs[0])[None]
+    else:
+        out = np.empty((rows, n), dtype=np.float64)
+        filled = [0] * rows  # accepted values per row
+        if n > 0:
+            m = _round_pairs(n)
+            z = np.array([rng.standard_normal(m) for rng in rngs])
+            u = np.array([rng.random(m) for rng in rngs])
+            d, c = np.array(consts).T[:, :, None]
+            got, accept = _gamma_mt_accept(z, u, d, c)
+            if got.size:
+                counts = np.count_nonzero(accept, axis=1)
+                starts = np.cumsum(counts) - counts
+                # A short row's tail reads later rows' draws; its refill
+                # overwrites them.
+                np.take(got, starts[:, None] + np.arange(n), out=out,
+                        mode="clip")
+                filled = counts.tolist()
+        for i, got_i in enumerate(filled):
+            if got_i < n:
+                out[i] = _fill_row(n, out[i, :got_i], *consts[i], rngs[i])
     for i, alpha in enumerate(alphas):
         if alpha < 1.0:
             for lo in range(0, n, _BLOCK):
@@ -207,13 +227,16 @@ def sample(p: InvGammaParams, n: int, rng: np.random.Generator) -> np.ndarray:
     (small alpha) gives inf, with numpy's divide warning, and beta over a
     huge variate can round to 0.
 
-    At its peak a call holds two arrays of the sample: the first round's
-    n + n/16 + 16 normals and the n draws, plus a few blocks of pairs
-    (about 0.25 MB).  So 1e6 draws peak at 2.1 × 8n bytes."""
+    The draws are the first n values of one buffer of n + n/16 + 16,
+    which holds every round's normals in its free tail and is divided in
+    place; the result is a view of it.  Beside it a call holds a few
+    blocks of pairs (about 0.25 MB), so 1e6 draws peak at 1.09 × 8n
+    bytes."""
     n = int(n)
     if n < 0:
         raise ValueError(f"sample size must be >= 0, got {n}")
-    return p.beta / _standard_gamma((p.alpha,), n, (rng,))[0]
+    x = _standard_gamma((p.alpha,), n, (rng,))[0]
+    return np.divide(p.beta, x, out=x)
 
 
 def expect_log_x(p: InvGammaParams) -> float:

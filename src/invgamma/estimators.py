@@ -405,6 +405,16 @@ def _run(op, drive, est: _Estimator, stats, options: FitOptions) -> _Run:
                 est.beta(stats, options, run[0]))
 
 
+def _overflowing_sum(s: SufficientStats) -> str:
+    """The sum of refusal 4 that is not finite: sum(1/x), sum(log x)
+    (read as ``sum_log`` or ``mean_log``), else BL1's e + sum(1/x)."""
+    if s.sum_inv == math.inf:
+        return "sum(1/x)"
+    if not (math.isfinite(s.sum_log) and math.isfinite(s.mean_log)):
+        return "sum(log x)"
+    return "e + sum(1/x)"
+
+
 # Every refusal of a fit, in order: the exception, the condition under
 # which it refuses, on floats or elementwise on arrays (``op``), and its
 # message, both from the stats ``s`` and the ``_Run`` ``r``.
@@ -416,11 +426,12 @@ _REFUSALS = (
     (DegenerateSampleError, lambda op, s, r: op.not_(op.isfinite(r.start)),
      lambda name, s, r: f"moment estimate of alpha is {r.start}: the "
                         "sample's moments overflow float64"),
-    # Only the log of sum(1/x), or of BL1's e + sum(1/x), can overflow;
-    # c - c is 0 for a finite constant c, and NaN for any other.
+    # Only the log of sum(1/x), of BL1's e + sum(1/x), or sum(log x) (a
+    # hand-built one: no sample of finite values overflows it) can leave a
+    # constant non-finite; c - c is 0 for a finite constant c, and NaN for
+    # any other.
     (DegenerateSampleError, lambda op, s, r: sum(c - c for c in r.consts) != 0,
-     lambda name, s, r: ("sum(1/x)" if s.sum_inv == math.inf else
-                         "e + sum(1/x)") + " overflows float64, so the "
+     lambda name, s, r: f"{_overflowing_sum(s)} overflows float64, so the "
                         f"{name} update is undefined"),
     # ML2's and BL2's divisions by zero give a NaN step; a NaN from ML1's
     # or BL1's inverse digamma fails as an estimate.

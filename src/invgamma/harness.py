@@ -18,6 +18,10 @@ seed and every fit is independent of the others, so the records do not
 depend on the number of workers.  ``fit_by_name`` runs one scalar fit.
 """
 
+# Annotations stay text, so that importing this module does not load
+# numpy.random: a sweep's parent leaves the draws to its pool's workers.
+from __future__ import annotations
+
 import math
 import os
 import stat
@@ -337,12 +341,19 @@ def run_kl_experiment(cfg: ExperimentConfig) -> SimulationRecords:
 def _grouped(records, *fields):
     """Per (N, estimator) group, in the order of its first record: N, the
     estimator and the group's array of each of ``fields``, in record
-    order.  The records are converted and each column read once."""
+    order.  The records are converted and each column read once; a group
+    is found from its first record not yet grouped, by masks, with no
+    object per record."""
     records = SimulationRecords._of(records)
     sizes, names, *cols = map(records.column, ("N", "estimator", *fields))
-    for size, name in dict.fromkeys(zip(sizes.tolist(), names.tolist())):
-        rows = (sizes == size) & (names == name)
-        yield size, name, *(c[rows] for c in cols)
+    left = np.ones(sizes.size, dtype=bool)
+    while left.any():
+        first = left.argmax()
+        rows = (sizes == sizes[first]) & (names == names[first])
+        left &= ~rows
+        left[first] = False  # an N of NaN matches no row, itself neither
+        yield (sizes[first].item(), names[first].item(),
+               *(c[rows] for c in cols))
 
 
 def aggregate_bias(records) -> list[BiasAggregate]:

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -32,12 +33,36 @@ from invgamma.harness import (
     SimulationRecords,
     read_records_csv,
 )
+from conftest import traced_peak
 
 
 def run_cli(*args, stdin: str | None = None):
     return subprocess.run([sys.executable, "-m", "invgamma", *args],
                           input=stdin, capture_output=True, text=True,
                           env=os.environ.copy())
+
+
+def run_main(*args, stdin: str = ""):
+    """``run_cli`` in this process: ``cli.main(args)`` with stdin, stdout
+    and stderr redirected, a ``SystemExit`` (argparse's) taken as the exit
+    code, and every warning written to stderr as the interpreter would
+    print it.  For a command's logic; where the process itself is tested
+    (interpreter flags, fd 1, pipes, the fork, ``python -m``), use
+    ``run_cli``."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    err.writelines(warnings.formatwarning(w.message, w.category, w.filename,
+                                          w.lineno, w.line) for w in caught)
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
 
 
 def parse_kv(text: str) -> dict:
@@ -50,7 +75,7 @@ def parse_kv(text: str) -> dict:
 
 class TestFit:
     def test_mm_hand_values(self):
-        res = run_cli("fit", "--estimator", "mm", stdin="1\n2\n4\n")
+        res = run_main("fit", "--estimator", "mm", stdin="1\n2\n4\n")
         assert res.returncode == 0
         kv = parse_kv(res.stdout)
         assert float(kv["alpha"]) == pytest.approx(13 / 3, rel=1e-12)
@@ -59,7 +84,7 @@ class TestFit:
         assert kv["converged"] == "true"
 
     def test_blank_lines_ignored(self):
-        res = run_cli("fit", "--estimator", "mm", stdin="1\n\n2\n\n4\n")
+        res = run_main("fit", "--estimator", "mm", stdin="1\n\n2\n\n4\n")
         assert res.returncode == 0
         assert parse_kv(res.stdout)["n"] == "3"
 
@@ -67,7 +92,7 @@ class TestFit:
         x = sample(InvGammaParams(5, 8), 200, np.random.default_rng(3))
         path = tmp_path / "data.txt"
         path.write_text("".join(f"{v:.17g}\n" for v in x))
-        res = run_cli("fit", "--estimator", "mm", "--input", str(path))
+        res = run_main("fit", "--estimator", "mm", "--input", str(path))
         kv = parse_kv(res.stdout)
         ref = fit_mm(compute_stats(np.array([float(f"{v:.17g}") for v in x])))
         assert float(kv["alpha"]) == ref.params.alpha
@@ -77,36 +102,36 @@ class TestFit:
         x = sample(InvGammaParams(10, 25), 1000, np.random.default_rng(12345))
         path = tmp_path / "data.txt"
         path.write_text("".join(f"{v:.17g}\n" for v in x))
-        res = run_cli("fit", "--estimator", "bl1", "--input", str(path))
+        res = run_main("fit", "--estimator", "bl1", "--input", str(path))
         kv = parse_kv(res.stdout)
         assert 8.5 <= float(kv["alpha"]) <= 11.5
         assert "posterior_mean" in kv and "posterior_precision" in kv
 
     def test_json_output(self):
-        res = run_cli("fit", "--estimator", "ml2", "--json",
-                      stdin="0.5\n1.2\n0.8\n2.0\n1.1\n")
+        res = run_main("fit", "--estimator", "ml2", "--json",
+                       stdin="0.5\n1.2\n0.8\n2.0\n1.1\n")
         obj = json.loads(res.stdout)
         assert obj["estimator"] == "ml2"
         assert obj["converged"] is True
 
     def test_nonpositive_value_exits_3(self):
-        res = run_cli("fit", "--estimator", "mm", stdin="1\n-1\n2\n")
+        res = run_main("fit", "--estimator", "mm", stdin="1\n-1\n2\n")
         assert res.returncode == 3
         assert "line 2" in res.stderr
 
     def test_malformed_value_exits_2(self):
-        res = run_cli("fit", "--estimator", "mm", stdin="1\nbogus\n")
+        res = run_main("fit", "--estimator", "mm", stdin="1\nbogus\n")
         assert res.returncode == 2
         assert "line 2" in res.stderr
 
     def test_degenerate_sample_exits_4(self):
-        res = run_cli("fit", "--estimator", "ml1", stdin="2\n2\n2\n")
+        res = run_main("fit", "--estimator", "ml1", stdin="2\n2\n2\n")
         assert res.returncode == 4
 
     def test_near_constant_surrogate_exits_4(self):
         # The ML2 update divides by zero on this sample; the fit reports a
         # degenerate sample instead of a traceback.
-        res = run_cli("fit", "--estimator", "ml2", stdin="1.0101\n" * 20)
+        res = run_main("fit", "--estimator", "ml2", stdin="1.0101\n" * 20)
         assert res.returncode == 4
         assert res.stdout == ""
         lines = res.stderr.splitlines()
@@ -117,7 +142,7 @@ class TestFit:
         "1e-320\n2e-320\n3e-320\n",  # sum of 1/x overflows, variance is 0
     ])
     def test_float64_limits_exit_4(self, stdin):
-        res = run_cli("fit", "--estimator", "ml1", stdin=stdin)
+        res = run_main("fit", "--estimator", "ml1", stdin=stdin)
         assert res.returncode == 4
         assert res.stdout == ""
         lines = res.stderr.splitlines()
@@ -126,8 +151,8 @@ class TestFit:
     @pytest.mark.parametrize("estimator", ["ml1", "ml2", "bl1", "bl2"])
     def test_overflowing_sum_inv_exits_4(self, estimator):
         # Each update takes log sum(1/x), which is inf here.
-        res = run_cli("fit", "--estimator", estimator,
-                      stdin="2.83233e-318\n2613.711528902175\n")
+        res = run_main("fit", "--estimator", estimator,
+                       stdin="2.83233e-318\n2613.711528902175\n")
         assert res.returncode == 4
         assert res.stdout == ""
         assert res.stderr == ("invgamma: sum(1/x) overflows float64, so the "
@@ -135,8 +160,8 @@ class TestFit:
 
     def test_overflowing_prior_sum_exits_4(self):
         # sum(1/x) is finite, but the BL1 update takes log(e + sum(1/x)).
-        res = run_cli("fit", "--estimator", "bl1", "--prior-e", "1.7e308",
-                      stdin="1e-308\n3e-8\n2e-3\n")
+        res = run_main("fit", "--estimator", "bl1", "--prior-e", "1.7e308",
+                       stdin="1e-308\n3e-8\n2e-3\n")
         assert res.returncode == 4
         assert res.stdout == ""
         assert res.stderr == ("invgamma: e + sum(1/x) overflows float64, so "
@@ -145,12 +170,12 @@ class TestFit:
     @pytest.mark.parametrize("prior_c", ["0.5", "1"])
     def test_runaway_bl1_prior_exits_4(self, tmp_path, prior_c):
         # With c > b the BL1 update sends alpha to infinity on this sample.
-        data = run_cli("sample", "--alpha", "10", "--beta", "25", "--n", "50",
-                       "--seed", "1").stdout
+        data = run_main("sample", "--alpha", "10", "--beta", "25", "--n", "50",
+                        "--seed", "1").stdout
         path = tmp_path / "s.txt"
         path.write_text(data)
-        res = run_cli("fit", "--estimator", "bl1", "--prior-c", prior_c,
-                      "--input", str(path))
+        res = run_main("fit", "--estimator", "bl1", "--prior-c", prior_c,
+                       "--input", str(path))
         assert res.returncode == 4
         assert res.stdout == ""
         assert res.stderr == ("invgamma: BL1 estimate alpha=inf, beta=inf is "
@@ -159,42 +184,43 @@ class TestFit:
     def test_bl2_near_constant_does_not_converge(self):
         # On this sample the flat-prior BL2 update rounds differently from
         # ML2's (which divides by zero): it runs out its iterations instead.
-        res = run_cli("fit", "--estimator", "bl2", stdin="1.0101\n" * 20)
+        res = run_main("fit", "--estimator", "bl2", stdin="1.0101\n" * 20)
         assert res.returncode == 0
         assert parse_kv(res.stdout)["converged"] == "false"
-        res = run_cli("fit", "--estimator", "bl2", "--strict",
-                      stdin="1.0101\n" * 20)
+        res = run_main("fit", "--estimator", "bl2", "--strict",
+                       stdin="1.0101\n" * 20)
         assert res.returncode == 4
         assert res.stdout == ""
         assert res.stderr.startswith("invgamma: BL2 did not converge within "
                                      "1000 iterations")
 
     def test_strict_nonconvergence_exits_4(self):
-        res = run_cli("fit", "--estimator", "ml1", "--strict", "--max-iter", "1",
-                      stdin="0.5\n1.2\n0.8\n2.0\n1.1\n")
+        res = run_main("fit", "--estimator", "ml1", "--strict",
+                       "--max-iter", "1", stdin="0.5\n1.2\n0.8\n2.0\n1.1\n")
         assert res.returncode == 4
 
     def test_nonpositive_prior_a_exits_2(self):
-        res = run_cli("fit", "--estimator", "bl1", "--prior-a", "0",
-                      stdin="1\n2\n4\n")
+        res = run_main("fit", "--estimator", "bl1", "--prior-a", "0",
+                       stdin="1\n2\n4\n")
         assert res.returncode == 2
         assert res.stderr == (
             "invgamma: shape prior requires finite a > 0, got a=0.0\n")
 
     def test_unknown_flag_exits_2(self):
-        res = run_cli("fit", "--estimator", "mm", "--nope", stdin="1\n2\n")
+        res = run_main("fit", "--estimator", "mm", "--nope", stdin="1\n2\n")
         assert res.returncode == 2
 
     def test_bad_option_before_empty_input_exits_2(self):
         # The options are built before the sample is reduced, so a bad
         # --max-iter exits 2 where the empty sample alone exits 4.
-        res = run_cli("fit", "--estimator", "ml1", "--max-iter", "0", stdin="")
+        res = run_main("fit", "--estimator", "ml1", "--max-iter", "0",
+                       stdin="")
         assert (res.returncode, res.stdout, res.stderr) == (
             2, "", "invgamma: rel_tol must be > 0 and max_iter >= 1\n")
 
     def test_posterior_without_maximum_exits_4(self):
-        res = run_cli("fit", "--estimator", "bl2", "--w1", "1e12",
-                      stdin="1.3\n2.2\n0.7\n1.9\n3.1\n")
+        res = run_main("fit", "--estimator", "bl2", "--w1", "1e12",
+                       stdin="1.3\n2.2\n0.7\n1.9\n3.1\n")
         assert (res.returncode, res.stdout) == (4, "")
         assert res.stderr.startswith(
             "invgamma: posterior has no interior maximum")
@@ -240,10 +266,10 @@ class TestNegativeFloatFlags:
 
     def test_fit_reads_exponent_form(self, tmp_path):
         path = tmp_path / "s.txt"
-        path.write_text(run_cli("sample", "--alpha", "10", "--beta", "25",
-                                "--n", "50", "--seed", "1").stdout)
-        runs = [run_cli("fit", "--estimator", "bl2", *flag,
-                        "--input", str(path))
+        path.write_text(run_main("sample", "--alpha", "10", "--beta", "25",
+                                 "--n", "50", "--seed", "1").stdout)
+        runs = [run_main("fit", "--estimator", "bl2", *flag,
+                         "--input", str(path))
                 for flag in (["--w1", "-1e3"], ["--w1", "-1000"],
                              ["--w1=-1e3"])]
         assert [r.returncode for r in runs] == [0, 0, 0], runs[0].stderr
@@ -330,8 +356,8 @@ class TestFitInput:
     def test_bad_line_in_second_chunk(self, bad, code, msg):
         lines = _sample_lines(70_010, 1)
         lines[70_000] = bad
-        res = run_cli("fit", "--estimator", "mm",
-                      stdin="".join(f"{t}\n" for t in lines))
+        res = run_main("fit", "--estimator", "mm",
+                       stdin="".join(f"{t}\n" for t in lines))
         assert res.returncode == code
         assert res.stdout == ""
         assert res.stderr == f"invgamma: line 70001: {msg}\n"
@@ -344,14 +370,26 @@ class TestFitInput:
         ("-1", 3, "non-positive value -1"),
     ])
     def test_bad_token(self, token, code, msg):
-        res = run_cli("fit", "--estimator", "mm", stdin=f"1\n{token}\n3\n")
+        res = run_main("fit", "--estimator", "mm", stdin=f"1\n{token}\n3\n")
         assert res.returncode == code
         assert res.stderr == f"invgamma: line 2: {msg}\n"
 
     def test_empty_input_exits_4(self):
-        res = run_cli("fit", "--estimator", "mm", stdin="")
+        res = run_main("fit", "--estimator", "mm", stdin="")
         assert res.returncode == 4
         assert res.stderr == "invgamma: need at least one sample\n"
+
+    def test_memory(self, tmp_path):
+        # The parsed parts (8 bytes a value) and one chunk's lines, each a
+        # str and its pointer with its parsed value (about 88 bytes); the
+        # parts and the whole array at the end, 16 bytes a value.  The
+        # lines of two chunks at once read 11.1 MB.
+        n = 200_000
+        path = tmp_path / "data.txt"
+        path.write_text("".join(f"{t}\n" for t in _sample_lines(n, 4)))
+        cli._read_sample(str(path))  # and whatever it imports
+        peak = traced_peak(cli._read_sample, str(path))
+        assert peak < 8 * n + 96 * cli._EMIT_CHUNK
 
     @pytest.mark.parametrize("via", ["stdin", "file"])
     def test_messy_input_matches_library(self, tmp_path, via):
@@ -366,10 +404,10 @@ class TestFitInput:
         if via == "file":
             path = tmp_path / "data.txt"
             path.write_bytes(text.encode())
-            res = run_cli("fit", "--estimator", "ml1", "--json",
-                          "--input", str(path))
+            res = run_main("fit", "--estimator", "ml1", "--json",
+                           "--input", str(path))
         else:
-            res = run_cli("fit", "--estimator", "ml1", "--json", stdin=text)
+            res = run_main("fit", "--estimator", "ml1", "--json", stdin=text)
         assert res.returncode == 0, res.stderr
         got = json.loads(res.stdout)
         stats = compute_stats(np.array([float(t) for t in lines if t.strip()]))
@@ -458,24 +496,24 @@ class TestReadSampleOracle:
 
 class TestSample:
     def test_deterministic(self):
-        a = run_cli("sample", "--alpha", "10", "--beta", "25", "--n", "5",
-                    "--seed", "42")
-        b = run_cli("sample", "--alpha", "10", "--beta", "25", "--n", "5",
-                    "--seed", "42")
+        a = run_main("sample", "--alpha", "10", "--beta", "25", "--n", "5",
+                     "--seed", "42")
+        b = run_main("sample", "--alpha", "10", "--beta", "25", "--n", "5",
+                     "--seed", "42")
         assert a.returncode == 0 and a.stdout == b.stdout
         assert len(a.stdout.splitlines()) == 5
 
     def test_empty(self):
-        res = run_cli("sample", "--alpha", "3", "--beta", "2", "--n", "0")
+        res = run_main("sample", "--alpha", "3", "--beta", "2", "--n", "0")
         assert res.returncode == 0
         assert res.stdout == ""
 
     def test_invalid_params_exit_2(self):
-        res = run_cli("sample", "--alpha", "-3", "--beta", "2", "--n", "1")
+        res = run_main("sample", "--alpha", "-3", "--beta", "2", "--n", "1")
         assert res.returncode == 2
 
     def test_negative_size_exits_2(self):
-        res = run_cli("sample", "--alpha", "1", "--beta", "1", "--n", "-1")
+        res = run_main("sample", "--alpha", "1", "--beta", "1", "--n", "-1")
         assert res.returncode == 2
         assert res.stderr == "invgamma: --n must be >= 0, got -1\n"
         assert res.stdout == ""
@@ -495,8 +533,8 @@ class TestSample:
 
     @pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537, 131_073])
     def test_emission_matches_library(self, n):
-        res = run_cli("sample", "--alpha", "0.6", "--beta", "2", "--n", str(n),
-                      "--seed", "11")
+        res = run_main("sample", "--alpha", "0.6", "--beta", "2",
+                       "--n", str(n), "--seed", "11")
         assert res.returncode == 0
         x = sample(InvGammaParams(0.6, 2.0), n, np.random.default_rng(11))
         assert res.stdout == "".join(f"{v:.17g}\n" for v in x)
@@ -548,37 +586,66 @@ class TestSample:
         assert abs(alpha - 10.0) / 10.0 < 0.05
 
 
+# Whether numpy.random is loaded after importing the package and the CLI,
+# then after one command each, in one fresh interpreter.
+_RANDOM_LOADED = """
+import contextlib, io, sys
+import invgamma, invgamma.cli
+loaded = ["numpy.random" in sys.modules]
+for args in (["fit", "--estimator", "bl1"],
+             ["kl", "--p-alpha", "3", "--p-beta", "2", "--q-alpha", "3",
+              "--q-beta", "4"],
+             ["sample", "--alpha", "10", "--beta", "25", "--n", "5"]):
+    sys.stdin = io.StringIO("1.5\\n2\\n4\\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert invgamma.cli.main(args) == 0
+    loaded.append("numpy.random" in sys.modules)
+print(loaded)
+"""
+
+
+class TestImports:
+    def test_numpy_random_loads_at_the_first_draw(self):
+        # fit and kl draw nothing, so they never load numpy.random (about
+        # 6 MB of RSS and 15-20 ms of import); sample loads it.
+        res = subprocess.run([sys.executable, "-c", _RANDOM_LOADED],
+                             capture_output=True, text=True,
+                             env=os.environ.copy())
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == "[False, False, False, True]\n"
+
+
 class TestKl:
     def test_zero_for_equal(self):
-        res = run_cli("kl", "--p-alpha", "3", "--p-beta", "2",
-                      "--q-alpha", "3", "--q-beta", "2")
+        res = run_main("kl", "--p-alpha", "3", "--p-beta", "2",
+                       "--q-alpha", "3", "--q-beta", "2")
         assert res.returncode == 0
         assert float(res.stdout) == 0.0
 
     def test_hand_values(self):
-        res = run_cli("kl", "--p-alpha", "3", "--p-beta", "2",
-                      "--q-alpha", "3", "--q-beta", "4")
+        res = run_main("kl", "--p-alpha", "3", "--p-beta", "2",
+                       "--q-alpha", "3", "--q-beta", "4")
         assert float(res.stdout) == pytest.approx(3 - 3 * math.log(2), rel=1e-12)
-        res = run_cli("kl", "--p-alpha", "3", "--p-beta", "2",
-                      "--q-alpha", "2", "--q-beta", "2")
+        res = run_main("kl", "--p-alpha", "3", "--p-beta", "2",
+                       "--q-alpha", "2", "--q-beta", "2")
         assert float(res.stdout) == pytest.approx(0.2296371545, abs=1e-9)
 
     def test_matches_library(self):
-        res = run_cli("kl", "--p-alpha", "7.5", "--p-beta", "3.25",
-                      "--q-alpha", "2.125", "--q-beta", "11.0")
+        res = run_main("kl", "--p-alpha", "7.5", "--p-beta", "3.25",
+                       "--q-alpha", "2.125", "--q-beta", "11.0")
         ref = kl_divergence(InvGammaParams(7.5, 3.25), InvGammaParams(2.125, 11.0))
         assert float(res.stdout) == ref
 
     def test_invalid_exit_2(self):
-        res = run_cli("kl", "--p-alpha", "0", "--p-beta", "2",
-                      "--q-alpha", "3", "--q-beta", "2")
+        res = run_main("kl", "--p-alpha", "0", "--p-beta", "2",
+                       "--q-alpha", "3", "--q-beta", "2")
         assert res.returncode == 2
 
     def test_large_shape_one_ulp_apart_exits_0(self):
         # The sum cancels lgamma terms of about 2.9e14 to -0.001953125,
         # which is rounding, not a negative KL.
-        res = run_cli("kl", "--p-alpha", "1e13", "--p-beta", "1",
-                      "--q-alpha", "1e13", "--q-beta", "0.9999999999999999")
+        res = run_main("kl", "--p-alpha", "1e13", "--p-beta", "1",
+                       "--q-alpha", "1e13", "--q-beta", "0.9999999999999999")
         assert (res.returncode, res.stdout, res.stderr) == (0, "0\n", "")
 
     @pytest.mark.parametrize("args", [
@@ -587,7 +654,7 @@ class TestKl:
     ])
     def test_shape_beyond_lgamma_range_exits_2(self, args):
         # math.lgamma overflows above a shape of about 2.6e305.
-        res = run_cli("kl", *args, "--q-beta", "1")
+        res = run_main("kl", *args, "--q-beta", "1")
         assert (res.returncode, res.stdout) == (2, "")
         assert res.stderr.startswith("invgamma: ")
         assert len(res.stderr.splitlines()) == 1
@@ -655,8 +722,8 @@ class TestBenchmark:
     ])
     def test_bad_estimator_list_exits_2(self, tmp_path, names, msg):
         out = tmp_path / "bench.csv"
-        res = run_cli("benchmark", "--sizes", "20", "--sims", "3",
-                      "--estimators", names, "--out", str(out))
+        res = run_main("benchmark", "--sizes", "20", "--sims", "3",
+                       "--estimators", names, "--out", str(out))
         assert res.returncode == 2
         assert res.stderr == f"invgamma: {msg}\n"
         assert res.stdout == "" and not out.exists()
@@ -668,15 +735,15 @@ class TestBenchmark:
     ])
     def test_bad_size_list_exits_2(self, tmp_path, sizes, msg):
         out = tmp_path / "bench.csv"
-        res = run_cli("benchmark", "--sizes", sizes, "--sims", "3",
-                      "--estimators", "MM", "--out", str(out))
+        res = run_main("benchmark", "--sizes", sizes, "--sims", "3",
+                       "--estimators", "MM", "--out", str(out))
         assert res.returncode == 2
         assert res.stderr == f"invgamma: {msg}\n"
         assert res.stdout == "" and not out.exists()
 
     def test_unparsable_size_list_exits_2(self, tmp_path):
         out = tmp_path / "bench.csv"
-        res = run_cli("benchmark", "--sizes", "5,x", "--out", str(out))
+        res = run_main("benchmark", "--sizes", "5,x", "--out", str(out))
         assert res.returncode == 2
         assert res.stderr.endswith("bad size list '5,x'\n")
         assert res.stdout == "" and not out.exists()
@@ -767,8 +834,8 @@ class TestBias:
 class TestCurves:
     def test_demo_reproduction(self, tmp_path):
         out = tmp_path / "curves.csv"
-        res = run_cli("curves", "--alpha", "10", "--beta", "25", "--n", "1000",
-                      "--seed", "0", "--out", str(out))
+        res = run_main("curves", "--alpha", "10", "--beta", "25",
+                       "--n", "1000", "--seed", "0", "--out", str(out))
         assert res.returncode == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "variant,alpha,log_prior,log_posterior,alpha_true,alpha_hat"
@@ -784,25 +851,25 @@ class TestCurves:
 
     def test_one_value_exits_4(self, tmp_path):
         out = tmp_path / "c.csv"
-        res = run_cli("curves", "--alpha", "10", "--beta", "25", "--n", "1",
-                      "--out", str(out))
+        res = run_main("curves", "--alpha", "10", "--beta", "25", "--n", "1",
+                       "--out", str(out))
         assert res.returncode == 4
         assert res.stderr == ("invgamma: moment initialization needs n >= 2, "
                               "got n=1\n")
         assert not out.exists()
 
     def test_bad_grid_exit_2(self, tmp_path):
-        res = run_cli("curves", "--alpha", "10", "--beta", "25", "--n", "10",
-                      "--seed", "0", "--grid-lo", "5", "--grid-hi", "2",
-                      "--out", str(tmp_path / "c.csv"))
+        res = run_main("curves", "--alpha", "10", "--beta", "25", "--n", "10",
+                       "--seed", "0", "--grid-lo", "5", "--grid-hi", "2",
+                       "--out", str(tmp_path / "c.csv"))
         assert res.returncode == 2
 
     @pytest.mark.parametrize("lo, hi", [("-0.5", "5"), ("0", "5"),
                                         ("1", "inf")])
     def test_nonpositive_or_infinite_grid_exit_2(self, tmp_path, lo, hi):
         out = tmp_path / "c.csv"
-        res = run_cli("curves", "--alpha", "10", "--beta", "25", "--n", "40",
-                      "--grid-lo", lo, "--grid-hi", hi, "--out", str(out))
+        res = run_main("curves", "--alpha", "10", "--beta", "25", "--n", "40",
+                       "--grid-lo", lo, "--grid-hi", hi, "--out", str(out))
         assert res.returncode == 2
         assert res.stderr == "invgamma: alpha grid must be finite and > 0\n"
         assert not out.exists()
@@ -812,8 +879,8 @@ class TestCurves:
         # lgamma overflows above about 2.6e305, the log posterior at
         # n = 50 below that; neither may print a numpy warning.
         out = tmp_path / "c.csv"
-        res = run_cli("curves", "--alpha", "10", "--beta", "25", "--n", "50",
-                      "--grid-hi", hi, "--out", str(out))
+        res = run_main("curves", "--alpha", "10", "--beta", "25", "--n", "50",
+                       "--grid-hi", hi, "--out", str(out))
         assert res.returncode == 2
         assert res.stderr == ("invgamma: log posterior overflows float64 "
                               "on this alpha grid\n")

@@ -604,9 +604,9 @@ _ZERO_VAR = (DegenerateSampleError, "sample variance is zero or undefined")
 _MOMENTS = (DegenerateSampleError, "moment estimate of alpha is nan: the "
             "sample's moments overflow float64")
 
-# Each input, the options it is fitted with, and what each estimator that
-# refuses it raises, in ``_fit``'s order of refusals.  The estimators left
-# out of an entry fit that input.
+# Each input (its values, or its stats), the options it is fitted with,
+# and what each estimator that refuses it raises, in ``_fit``'s order of
+# refusals.  The estimators left out of an entry fit that input.
 REFUSALS = {
     "n < 2": ([2.0], FitOptions(), dict.fromkeys(ESTIMATORS, _TOO_SMALL)),
     "zero variance": ([3.0, 3.0], FitOptions(),
@@ -616,6 +616,12 @@ REFUSALS = {
     "sum(1/x) overflows": (
         [2.83233e-318, 2613.711528902175], FitOptions(),
         {name: (DegenerateSampleError, f"sum(1/x) overflows float64, so "
+                f"the {name} update is undefined")
+         for name in ("ML1", "ML2", "BL1", "BL2")}),
+    # A hand-built sum of logs; MM reads none.
+    "sum(log x) is infinite": (
+        SufficientStats(3, 1.0, 1.0, 1.0, math.inf, math.inf), FitOptions(),
+        {name: (DegenerateSampleError, f"sum(log x) overflows float64, so "
                 f"the {name} update is undefined")
          for name in ("ML1", "ML2", "BL1", "BL2")}),
     "e + sum(1/x) overflows": (
@@ -663,7 +669,7 @@ class TestRefusals:
         # fit_batch keeps the reason the scalar fit raises with, whether
         # the row runs on floats or on arrays.
         x, options, refusals = REFUSALS[case]
-        s = compute_stats(x)
+        s = x if isinstance(x, SufficientStats) else compute_stats(x)
         batch = StatsBatch.pack([s])
         for name in ESTIMATORS:
             reason = 0

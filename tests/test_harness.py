@@ -977,3 +977,11 @@ class TestKlByEstimator:
         assert set(by) == {"MM", "ML1", "ML2", "BL1", "BL2"}
         assert all(v.size == 12 for v in by.values())
         assert all(np.isfinite(v).all() for v in by.values())
+
+    def test_memory(self):
+        # The N, estimator and KL columns (28 bytes a record) and a few
+        # masks; a Python str per record, to find the groups, read 96.
+        records = run_kl_experiment(ExperimentConfig(sizes=(20, 50),
+                                                     sims_per_size=1500))
+        kl_by_estimator(records)  # and whatever it imports
+        assert traced_peak(kl_by_estimator, records) < 64 * len(records)
