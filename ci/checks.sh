@@ -123,13 +123,17 @@ log_path() {
 # numpy's contiguous SIMD loop.
 digests() {
   check() {
-    got=$(PYTHONPATH=src python -m invgamma sample --alpha "$1" --beta 1 --n 200000 --seed 0 | sha256sum | cut -d' ' -f1)
-    echo "alpha=$1 $got"
-    test "$got" = "$2"
+    got=$(PYTHONPATH=src python -m invgamma sample --alpha "$1" --beta "$2" --n 200000 --seed 0 | sha256sum | cut -d' ' -f1)
+    echo "alpha=$1 beta=$2 $got"
+    test "$got" = "$3"
   }
-  check 0.3 02926f13462dd3cca37d792de20cc575f8fbc0b6b52d7ddbcc329172f053f5b3
-  check 10 2481962673356e2326a68e7fcf28243f475985cdb7d48f9b37847745774e847f
-  check 1e6 f7cdb6e6198eb061bf70ac2a65b389911ae84ef7fb2ebf32facaab8689fa1f36
+  check 0.3 1 02926f13462dd3cca37d792de20cc575f8fbc0b6b52d7ddbcc329172f053f5b3
+  check 10 1 2481962673356e2326a68e7fcf28243f475985cdb7d48f9b37847745774e847f
+  check 1e6 1 f7cdb6e6198eb061bf70ac2a65b389911ae84ef7fb2ebf32facaab8689fa1f36
+  # The cli-pipe benchmark's truth: values of about 0.7 to 20, nearly all
+  # printed with the point after their first or second digit.  alpha 10
+  # pins values below 1, and alpha 1e6 values printed with an exponent.
+  check 10 25 41651750eff9229709c70f370395898fded95352f9fad11ae2a0a52a26aae204
 }
 
 # Sweep on one CPU.

@@ -43,6 +43,7 @@ from .harness import (
     emit_prior_posterior_curves,
     fit_by_name,
     fmt_float,
+    format_lines,
     kl_by_estimator,
     run_bias_experiment,
     run_kl_experiment,
@@ -52,11 +53,12 @@ from .harness import (
     write_records_csv,
 )
 
-# Values per chunk at both ends of the pipe: ``sample`` formats and writes
-# this many lines per stdout write, and ``fit`` parses this many input lines
-# per C-level pass.  One string or list for 1e6 values would outweigh the
-# sample array itself.
+# Input lines that ``fit`` parses per C-level pass.  One list for 1e6
+# values would outweigh the sample array itself.
 _EMIT_CHUNK = 65536
+# Lines that ``sample`` formats per stdout write: ``format_lines`` holds
+# about 220 bytes per value while it builds a chunk's text.
+_SAMPLE_CHUNK = 8192
 
 
 class _Exit(Exception):
@@ -293,13 +295,10 @@ def cmd_sample(args) -> None:
     if not ((x > 0.0).all() and np.isfinite(x).all()):
         raise ValueError(f"alpha={args.alpha:g}, beta={args.beta:g}: draws "
                          f"fall outside the positive finite float64 range")
-    # Text through sys.stdout, so that a caller can redirect it.
-    for lo in range(0, x.size, _EMIT_CHUNK):
-        chunk = x[lo:lo + _EMIT_CHUNK]
-        # One C formatting call per chunk, with fmt_float's "%.17g" bytes.
-        # Its tuple of floats is gone before the text is written (and
-        # encoded), so a chunk never holds both.
-        sys.stdout.write(("%.17g\n" * chunk.size) % tuple(chunk.tolist()))
+    # fmt_float's "%.17g" lines, written as text through sys.stdout so
+    # that a caller can redirect it.
+    for lo in range(0, x.size, _SAMPLE_CHUNK):
+        sys.stdout.write(format_lines(x[lo:lo + _SAMPLE_CHUNK]))
 
 
 def cmd_kl(args) -> None:

@@ -533,11 +533,37 @@ class TestSample:
 
     @pytest.mark.parametrize("n", [0, 1, 65_535, 65_536, 65_537, 131_073])
     def test_emission_matches_library(self, n):
-        res = run_main("sample", "--alpha", "0.6", "--beta", "2",
-                       "--n", str(n), "--seed", "11")
-        assert res.returncode == 0
-        x = sample(InvGammaParams(0.6, 2.0), n, np.random.default_rng(11))
-        assert res.stdout == "".join(f"{v:.17g}\n" for v in x)
+        # Every chunk of the first two streams takes format_lines' numpy
+        # path (0.6 spans ten decades); from 65 535 values on, a chunk or
+        # two of the third holds a value above 1e16 and takes the "%" call.
+        for alpha, beta in ((0.6, 2.0), (10.0, 25.0), (0.3, 1.0)):
+            res = run_main("sample", "--alpha", str(alpha), "--beta",
+                           str(beta), "--n", str(n), "--seed", "11")
+            assert res.returncode == 0
+            x = sample(InvGammaParams(alpha, beta), n,
+                       np.random.default_rng(11))
+            assert res.stdout == "".join(f"{v:.17g}\n" for v in x)
+            assert (x.max(initial=0.0) >= 1e16) == (alpha == 0.3 and n > 1)
+
+    def test_memory(self):
+        # The sample's buffer (8.5 bytes a value) and one chunk of text in
+        # the making, about 220 bytes a value; chunks of 65536 lines, each
+        # one "%" call, read 5.77 MB.
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        def emit(n):
+            with contextlib.redirect_stdout(Sink()):
+                assert cli.main(["sample", "--alpha", "10", "--beta", "25",
+                                 "--n", str(n), "--seed", "0"]) == 0
+
+        emit(1000)  # and whatever it imports
+        n = 200_000
+        assert traced_peak(emit, n) < 8.8 * n + 256 * cli._SAMPLE_CHUNK
 
     @pytest.mark.parametrize("args", [
         ("sample", "--alpha", "10", "--beta", "25", "--n", "200000"),
