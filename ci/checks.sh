@@ -15,6 +15,13 @@ cd "$(dirname "$0")/.."
 STEPS=(tier1 smoke pipe failures log_path digests one_cpu order nan_rows
        round_trip traced_pipe traced_sweep)
 
+# Sets out to a new temp directory, removed when the step's subshell
+# exits, whether the step passes or fails.
+temp_dir() {
+  out=$(mktemp -d)
+  trap "rm -rf '$out'" EXIT
+}
+
 # Tier-1 tests.
 tier1() {
   PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -54,7 +61,7 @@ if "numpy.random" in sys.modules:
 failures() {
   set -o pipefail
   local out
-  out=$(mktemp -d)
+  temp_dir
   # expect CODE ARGS...: run invgamma ARGS under -W error on the
   # caller's stdin and stdout, copy its stderr to the log, and fail
   # unless it exits CODE, prints no Traceback, and prints one stderr
@@ -139,7 +146,7 @@ digests() {
 # Sweep on one CPU.
 one_cpu() {
   local out
-  out=$(mktemp -d)
+  temp_dir
   PYTHONPATH=src taskset -c 0 python -m invgamma benchmark --sizes 1,2,20,3000 --sims 40 --seed 0 --out "$out/one.csv"
   PYTHONPATH=src python -m invgamma benchmark --sizes 1,2,20,3000 --sims 40 --seed 0 --out "$out/all.csv"
   cut -d, -f1-12 "$out/one.csv" > "$out/one.cut"
@@ -150,7 +157,7 @@ one_cpu() {
 # Sweep output ignores the order of --sizes and --estimators.
 order() {
   local out
-  out=$(mktemp -d)
+  temp_dir
   PYTHONPATH=src python -m invgamma benchmark --sizes 50,20 --sims 40 --estimators BL2,MM --out "$out/a.csv" > "$out/a.txt"
   PYTHONPATH=src python -m invgamma benchmark --sizes 20,50 --sims 40 --estimators MM,BL2 --out "$out/b.csv" > "$out/b.txt"
   cmp "$out/a.txt" "$out/b.txt"
@@ -164,7 +171,7 @@ order() {
 # through the array KL; -W error makes any RuntimeWarning fail the step.
 nan_rows() {
   local out
-  out=$(mktemp -d)
+  temp_dir
   PYTHONPATH=src python -W error -m invgamma benchmark --sizes 1,2,3,30 --sims 40 --seed 3 --w1 1e12 --out "$out/fail.csv"
 }
 
@@ -173,7 +180,7 @@ nan_rows() {
 # rows of failed fits included.
 round_trip() {
   local out
-  out=$(mktemp -d)
+  temp_dir
   PYTHONPATH=src python -m invgamma benchmark --sizes 1,2,20 --sims 40 --seed 3 --w1 1e12 --out "$out/a.csv"
   PYTHONPATH=src python -c 'import sys; from invgamma.harness import read_records_csv, write_records_csv; write_records_csv(read_records_csv(sys.argv[1]), sys.argv[2])' "$out/a.csv" "$out/b.csv"
   cmp "$out/a.csv" "$out/b.csv"

@@ -8,6 +8,10 @@ prints the one ``invgamma:`` line and picks the code.  A command raises
 ``ValueError`` for a bad parameter, or ``_Exit`` where the code depends
 on its context: an input line, the input file, ``--strict``, an output
 path.
+
+The ``sample | fit`` pipe carries a sample as "%.17g" lines, each value
+read back with its bits: ``format_lines`` writes them, and
+``_read_sample`` parses them into one array.
 """
 
 import argparse
@@ -18,6 +22,8 @@ import math
 import os
 import re
 import sys
+from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,7 +49,6 @@ from .harness import (
     emit_prior_posterior_curves,
     fit_by_name,
     fmt_float,
-    format_lines,
     kl_by_estimator,
     run_bias_experiment,
     run_kl_experiment,
@@ -55,7 +60,7 @@ from .harness import (
 
 # Input lines that ``fit`` parses per C-level pass.  One list for 1e6
 # values would outweigh the sample array itself.
-_EMIT_CHUNK = 65536
+_PARSE_CHUNK = 65536
 # Lines that ``sample`` formats per stdout write: ``format_lines`` holds
 # about 220 bytes per value while it builds a chunk's text.
 _SAMPLE_CHUNK = 8192
@@ -194,7 +199,7 @@ def _read_sample(path: str) -> np.ndarray:
     first = 1
     try:
         lines = iter(fh)
-        while chunk := list(itertools.islice(lines, _EMIT_CHUNK)):
+        while chunk := list(itertools.islice(lines, _PARSE_CHUNK)):
             # float(line) strips the same whitespace as float(line.strip()),
             # so this pass accepts only what _parse_lines accepts, with the
             # same values.  A blank or bad line sends the chunk there.
@@ -212,17 +217,133 @@ def _read_sample(path: str) -> np.ndarray:
     finally:
         if fh is not sys.stdin:
             fh.close()
-    # One array of the sample, filled from its end: each part goes as soon
-    # as it is copied, so the parts and the array together hold about one
-    # copy of the sample in pages that are written.
-    x = np.empty(sum(map(len, parts)))
-    end = x.size
-    while parts:
-        part = parts.pop()
-        x[end - part.size:end] = part
-        end -= part.size
-    return x
+    return np.concatenate(parts) if parts else np.empty(0)
 
+
+# 10**p for p = 0 .. 22, each exact in float64, and Veltkamp's split of
+# each into two halves of 26 significant bits.
+_POW10 = np.array([float(10 ** p) for p in range(23)])
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a == hi + lo exactly, each with at most 26
+    significant bits, so that a product of two halves is exact."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+# The least double >= 10**p for p = -4 .. 16: "1e-4" .. "1e-1" round up,
+# and 1 .. 1e16 are exact.  So a double x lies at or above entry j exactly
+# when x >= 10**(j-4), and a binary search gives floor(log10 x).
+_DECADES = np.array([float(f"1e{p}") for p in range(-4, 17)])
+
+
+def _times_pow10(x, p) -> tuple[np.ndarray, np.ndarray]:
+    """x * 10**p == hi + lo exactly: Dekker's product, with no FMA."""
+    x_hi, x_lo = _split(x)
+    b_hi, b_lo = np.take(_POW10_HI, p), np.take(_POW10_LO, p)
+    hi = x * np.take(_POW10, p)
+    return hi, x_lo * b_lo - (((hi - x_hi * b_hi) - x_lo * b_hi) - x_hi * b_lo)
+
+
+@cache
+def _line_tables() -> SimpleNamespace:
+    """The byte tables of ``format_lines``, built at its first call."""
+    # Four ASCII digits of 0 .. 9999, then the same with trailing zeros
+    # as NUL, each as one 4-byte word.
+    i = np.arange(10000)[:, None]
+    digits = i // np.array([1000, 100, 10, 1]) % 10 + 48
+    tail = np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]
+    quads = np.concatenate([digits, np.where(tail, 0, digits)])
+    # Bytes 0 .. 7 of a row by (k, leading digit): the '0' of the units
+    # and -k-1 zeros after the point at bytes 7+k .. 6 when k < 0, then
+    # the digit at byte 7.
+    k = np.arange(-4, 16)[:, None, None]
+    col = np.arange(8)
+    head = np.where((col >= 7 + k) & (col < 7), 48, 0)
+    head = np.where(col == 7, np.arange(10)[:, None] + 48, head)
+    # The point goes at byte p = 8 + k: a row keeps its bytes below p and
+    # its bytes shifted by one above p, with '.' at p and '\n' at 25.
+    col, p = np.arange(32), np.arange(4, 24)[:, None]
+    below, above = np.where(col < p, 255, 0), np.where(col > p, 255, 0)
+    marks = np.where(col == p, 46, np.where(col == 25, 10, 0))
+
+    def words(a, dtype=np.uint64):
+        return a.astype(np.uint8).view(dtype)
+
+    return SimpleNamespace(quads=words(quads, np.uint32).ravel(),
+                           head=words(head).ravel(), below=words(below),
+                           above=words(above), marks=words(marks))
+
+
+def format_lines(x: np.ndarray) -> str:
+    """``"".join("%.17g\\n" % v for v in x)`` for a 1-d float64 array of
+    positive finite values, with the same bytes.
+
+    When every value lies in [1e-4, 1e16), where "%.17g" writes no
+    exponent, the text is built with numpy; otherwise by one "%" call.
+    Each value x, with k = floor(log10 x) exactly (from ``_DECADES``),
+    prints the 17 digits of N = x * 10**(16-k) rounded half to even, which
+    are what CPython's correctly rounded "%.17g" writes, with the point
+    after digit k (or after "0." and -k-1 zeros when k < 0), trailing
+    zeros and then a bare point removed.  x * 10**(16-k) lies in
+    [1e16, 1e17) and equals hi + lo exactly by Dekker's product (10**p is
+    exact for p <= 22); as hi >= 2**53 is an even integer,
+    N = hi + rint(lo) rounds it half to even.  N never rounds up to
+    10**17: that needs x within 5e-18 (relative) below 10**(k+1), and no
+    double is that close below any of 1e-3 .. 1e16.
+    """
+    if not (x.size and (x >= 1e-4).all() and (x < 1e16).all()):
+        return ("%.17g\n" * x.size) % tuple(x.tolist())
+    t = _line_tables()
+    n = x.size
+    k = np.searchsorted(_DECADES, x, side="right") - 5
+    hi, lo = _times_pow10(x, 16 - k)
+    # N = d0 * 10**16 + g0 * 10**12 + g1 * 10**8 + g2 * 10**4 + g3.
+    big = (hi.astype(np.int64) + np.rint(lo).astype(np.int64)).view(np.uint64)
+    top = big // np.uint64(10 ** 8)
+    bottom = (big - top * np.uint64(10 ** 8)).astype(np.uint32)
+    top = top.astype(np.uint32)
+    upper = top // 10000
+    d0 = upper // 10000
+    g0, g1 = upper - d0 * 10000, top - upper * 10000
+    g2 = bottom // 10000
+    g3 = bottom - g2 * 10000
+    # A row of 32 bytes, NUL where no character goes: the head, then the
+    # four groups at bytes 8 .. 23, each with its trailing zeros as NUL if
+    # the groups after it are all zeros.
+    row = np.zeros((n, 32), np.uint8)
+    words = row.view(np.uint32)
+    ki = k + 4
+    row.view(np.uint64)[:, 0] = np.take(t.head, ki * 10 + d0)
+    zero3 = g3 == 0
+    zero2 = zero3 & (g2 == 0)
+    words[:, 2] = np.take(t.quads, g0 + 10000 * (zero2 & (g1 == 0)))
+    words[:, 3] = np.take(t.quads, g1 + 10000 * zero2)
+    words[:, 4] = np.take(t.quads, g2 + 10000 * zero3)
+    words[:, 5] = np.take(t.quads, g3 + 10000)
+    # Insert the point at byte 8+k, after the units digit.
+    shifted = np.zeros_like(row)
+    shifted[:, 1:25] = row[:, :24]
+    out, rest = row.view(np.uint64), shifted.view(np.uint64)
+    out &= np.take(t.below, ki, axis=0)
+    rest &= np.take(t.above, ki, axis=0)
+    out |= rest
+    out |= np.take(t.marks, ki, axis=0)
+    # Where the fraction was all zeros, the integer's trailing zeros went
+    # with it: put them back and drop the point.  Such a fraction holds
+    # all of g3 unless k >= 13, so only those rows are looked at.
+    maybe = np.flatnonzero(zero3 | (k >= 13))
+    bare = maybe[row[maybe, 9 + k[maybe]] == 0]
+    if bare.size:
+        point = 8 + k[bare]
+        row[bare, point] = 0
+        ints = row[bare, 7:24]
+        row[bare, 7:24] = np.where(np.arange(7, 24) < point[:, None],
+                                   np.maximum(ints, 48), ints)
+    return row.tobytes().translate(None, b"\0").decode("ascii")
 
 def _write(write, rows, flag: str, path: str) -> None:
     """``write(rows, path)``; a failure names ``flag`` and ``path`` only."""

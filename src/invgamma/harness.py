@@ -16,6 +16,7 @@ simulations of all sizes in one ``fit_batch`` call, bit-identical to the
 scalar fitters, here or in a forked pool.  Every simulation has its own
 seed and every fit is independent of the others, so the records do not
 depend on the number of workers.  ``fit_by_name`` runs one scalar fit.
+The ``sample | fit`` pipe's text is written and read in ``cli``.
 """
 
 # Annotations stay text, so that importing this module does not load
@@ -30,7 +31,6 @@ import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, starmap
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -469,135 +469,6 @@ def emit_prior_posterior_curves(stats: SufficientStats,
 def fmt_float(v: float) -> str:
     """17 significant digits: enough for every float64 to round-trip."""
     return f"{v:.17g}"
-
-
-# 10**p for p = 0 .. 22, each exact in float64, and Veltkamp's split of
-# each into two halves of 26 significant bits.
-_POW10 = np.array([float(10 ** p) for p in range(23)])
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split: a == hi + lo exactly, each with at most 26
-    significant bits, so that a product of two halves is exact."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _split(_POW10)
-
-
-def _times_pow10(x, x_hi, x_lo, p) -> tuple[np.ndarray, np.ndarray]:
-    """x * 10**p == hi + lo exactly: Dekker's product, with no FMA."""
-    b_hi, b_lo = np.take(_POW10_HI, p), np.take(_POW10_LO, p)
-    hi = x * np.take(_POW10, p)
-    return hi, x_lo * b_lo - (((hi - x_hi * b_hi) - x_lo * b_hi) - x_hi * b_lo)
-
-
-@cache
-def _line_tables() -> SimpleNamespace:
-    """The byte tables of ``format_lines``, built at its first call."""
-    # Four ASCII digits of 0 .. 9999, then the same with trailing zeros
-    # as NUL, each as one 4-byte word.
-    i = np.arange(10000)[:, None]
-    digits = i // np.array([1000, 100, 10, 1]) % 10 + 48
-    tail = np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]
-    quads = np.concatenate([digits, np.where(tail, 0, digits)])
-    # Bytes 0 .. 7 of a row by (k, leading digit): the '0' of the units
-    # and -k-1 zeros after the point at bytes 7+k .. 6 when k < 0, then
-    # the digit at byte 7.
-    k = np.arange(-4, 16)[:, None, None]
-    col = np.arange(8)
-    head = np.where((col >= 7 + k) & (col < 7), 48, 0)
-    head = np.where(col == 7, np.arange(10)[:, None] + 48, head)
-    # The point goes at byte p = 8 + k: a row keeps its bytes below p and
-    # its bytes shifted by one above p, with '.' at p and '\n' at 25.
-    col, p = np.arange(32), np.arange(4, 24)[:, None]
-    below, above = np.where(col < p, 255, 0), np.where(col > p, 255, 0)
-    marks = np.where(col == p, 46, np.where(col == 25, 10, 0))
-
-    def words(a, dtype=np.uint64):
-        return a.astype(np.uint8).view(dtype)
-
-    return SimpleNamespace(quads=words(quads, np.uint32).ravel(),
-                           head=words(head).ravel(), below=words(below),
-                           above=words(above), marks=words(marks))
-
-
-def format_lines(x: np.ndarray) -> str:
-    """``"".join("%.17g\\n" % v for v in x)`` for a 1-d float64 array of
-    positive finite values, with the same bytes.
-
-    When every value lies in [1e-4, 1e16), where "%.17g" writes no
-    exponent, the text is built with numpy; otherwise by one "%" call.
-    Each value x, with k = floor(log10 x), prints the 17 digits of
-    N = x * 10**(16-k) rounded half to even, which are what CPython's
-    correctly rounded "%.17g" writes, with the point after digit k (or
-    after "0." and -k-1 zeros when k < 0), trailing zeros and then a bare
-    point removed.  N is exact: x * 10**p == hi + lo exactly by Dekker's
-    product (10**p is exact for p <= 22), and as hi >= 2**53 is an even
-    integer, N = hi + rint(lo) rounds hi + lo half to even.  N never
-    rounds up to 10**17: that needs x within 5e-18 (relative) below
-    10**(k+1), and no double is that close below any of 1e-3 .. 1e16.
-    """
-    if not (x.size and (x >= 1e-4).all() and (x < 1e16).all()):
-        return ("%.17g\n" * x.size) % tuple(x.tolist())
-    t = _line_tables()
-    n = x.size
-    x_hi, x_lo = _split(x)
-    # np.log10 can put k one off next to a power of ten; an exact test of
-    # x * 10**(16-k) against [1e16, 1e17) moves it.
-    k = np.floor(np.log10(x)).astype(np.intp)
-    while True:
-        hi, lo = _times_pow10(x, x_hi, x_lo, 16 - k)
-        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
-        if not (low.any() or high.any()):
-            break
-        k += high.astype(np.intp) - low
-    # N = d0 * 10**16 + g0 * 10**12 + g1 * 10**8 + g2 * 10**4 + g3.
-    big = (hi.astype(np.int64) + np.rint(lo).astype(np.int64)).view(np.uint64)
-    top = big // np.uint64(10 ** 8)
-    bottom = (big - top * np.uint64(10 ** 8)).astype(np.uint32)
-    top = top.astype(np.uint32)
-    upper = top // 10000
-    d0 = upper // 10000
-    g0, g1 = upper - d0 * 10000, top - upper * 10000
-    g2 = bottom // 10000
-    g3 = bottom - g2 * 10000
-    # A row of 32 bytes, NUL where no character goes: the head, then the
-    # four groups at bytes 8 .. 23, each with its trailing zeros as NUL if
-    # the groups after it are all zeros.
-    row = np.zeros((n, 32), np.uint8)
-    words = row.view(np.uint32)
-    ki = k + 4
-    row.view(np.uint64)[:, 0] = np.take(t.head, ki * 10 + d0)
-    zero3 = g3 == 0
-    zero2 = zero3 & (g2 == 0)
-    words[:, 2] = np.take(t.quads, g0 + 10000 * (zero2 & (g1 == 0)))
-    words[:, 3] = np.take(t.quads, g1 + 10000 * zero2)
-    words[:, 4] = np.take(t.quads, g2 + 10000 * zero3)
-    words[:, 5] = np.take(t.quads, g3 + 10000)
-    # Insert the point at byte 8+k, after the units digit.
-    shifted = np.zeros_like(row)
-    shifted[:, 1:25] = row[:, :24]
-    out, rest = row.view(np.uint64), shifted.view(np.uint64)
-    out &= np.take(t.below, ki, axis=0)
-    rest &= np.take(t.above, ki, axis=0)
-    out |= rest
-    out |= np.take(t.marks, ki, axis=0)
-    # Where the fraction was all zeros, the integer's trailing zeros went
-    # with it: put them back and drop the point.  Such a fraction holds
-    # all of g3 unless k >= 13, so only those rows are looked at.
-    maybe = np.flatnonzero(zero3 | (k >= 13))
-    bare = maybe[row[maybe, 9 + k[maybe]] == 0]
-    if bare.size:
-        point = 8 + k[bare]
-        row[bare, point] = 0
-        ints = row[bare, 7:24]
-        row[bare, 7:24] = np.where(np.arange(7, 24) < point[:, None],
-                                   np.maximum(ints, 48), ints)
-    return row.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # Paths that name fd 1 whether or not a link for them exists on the host.

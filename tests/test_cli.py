@@ -389,7 +389,7 @@ class TestFitInput:
         path.write_text("".join(f"{t}\n" for t in _sample_lines(n, 4)))
         cli._read_sample(str(path))  # and whatever it imports
         peak = traced_peak(cli._read_sample, str(path))
-        assert peak < 8 * n + 96 * cli._EMIT_CHUNK
+        assert peak < 8 * n + 96 * cli._PARSE_CHUNK
 
     @pytest.mark.parametrize("via", ["stdin", "file"])
     def test_messy_input_matches_library(self, tmp_path, via):

@@ -1008,10 +1008,10 @@ class TestFormatLines:
     @staticmethod
     def _check(values, fast):
         # A fast-path call reads the tables once; a "%" call never does.
-        calls = harness._line_tables.cache_info()
+        calls = cli._line_tables.cache_info()
         x = np.array(values, dtype=np.float64)
-        assert harness.format_lines(x) == _percent_lines(values)
-        after = harness._line_tables.cache_info()
+        assert cli.format_lines(x) == _percent_lines(values)
+        after = cli._line_tables.cache_info()
         assert (after.hits + after.misses) - (calls.hits + calls.misses) == fast
 
     @settings(max_examples=300, deadline=None)
@@ -1026,7 +1026,7 @@ class TestFormatLines:
         self._check(values, fast=fast)
 
     def test_empty(self):
-        assert harness.format_lines(np.empty(0)) == ""
+        assert cli.format_lines(np.empty(0)) == ""
 
     def test_edges(self):
         # Each power of ten with its neighbours; the double below 1e-4
@@ -1044,7 +1044,7 @@ class TestFormatLines:
                   9999999999999998.0]
         self._check(edges, fast=True)
         self._check([math.nextafter(1e-4, 0.0)], fast=False)
-        assert harness.format_lines(
+        assert cli.format_lines(
             np.array([math.nextafter(1e-4, 0.0), math.nextafter(0.1, 0.0)])
         ) == "9.9999999999999991e-05\n0.099999999999999992\n"
 
@@ -1056,7 +1056,7 @@ class TestFormatLines:
             assert (Fraction(v) * 10 ** 16).denominator == 2
         self._check(values, fast=True)
         # 1.0000076293945312|5: the 17th digit is even and stays.
-        assert harness.format_lines(np.array([1 + 2.0 ** -17])) == (
+        assert cli.format_lines(np.array([1 + 2.0 ** -17])) == (
             "1.0000076293945312\n")
 
     def test_no_rounding_up_to_ten_to_the_seventeen(self):
@@ -1070,3 +1070,14 @@ class TestFormatLines:
                 x = math.nextafter(x, 0.0)
             assert (t - Fraction(x)) / t > Fraction(5, 10 ** 18)
             self._check([x], fast=True)
+
+    def test_decades_are_least_doubles_at_or_above_powers(self):
+        # Entry j is the least double >= 10**(j-4), so that a binary search
+        # gives floor(log10 x) exactly, next to every power of ten too.
+        for p, d in zip(range(-4, 17), cli._DECADES.tolist(), strict=True):
+            t = Fraction(10) ** p
+            assert Fraction(math.nextafter(d, 0.0)) < t <= Fraction(d)
+        for p in range(-4, 16):
+            v = float(Fraction(10) ** p)
+            for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)):
+                assert cli.format_lines(np.array([x])) == "%.17g\n" % x
