@@ -4,11 +4,10 @@
 #
 #   bash ci/checks.sh [STEP...]
 #
-# runs the named steps, or with no argument every step in workflow order:
-# tier1 smoke pipe failures log_path digests one_cpu order nan_rows
-# round_trip traced_pipe traced_sweep.  It runs from the repository root,
-# each step in its own subshell under bash -e as a workflow step runs,
-# and stops at the first step that fails.
+# runs the named steps, or with no argument every step of STEPS, in
+# workflow order.  It runs from the repository root, each step in its own
+# subshell under bash -e as a workflow step runs, and stops at the first
+# step that fails.
 set -e
 cd "$(dirname "$0")/.."
 

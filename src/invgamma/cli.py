@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from contextlib import nullcontext
 from functools import cache
 from types import SimpleNamespace
 
@@ -194,10 +195,9 @@ def _parse_lines(lines, first_lineno: int) -> np.ndarray:
 
 def _read_sample(path: str) -> np.ndarray:
     # Only iterate the input: a traced run swaps stdin for a line iterator.
-    fh = sys.stdin if path == "-" else open(path)
     parts = []
     first = 1
-    try:
+    with nullcontext(sys.stdin) if path == "-" else open(path) as fh:
         lines = iter(fh)
         while chunk := list(itertools.islice(lines, _PARSE_CHUNK)):
             # float(line) strips the same whitespace as float(line.strip()),
@@ -214,9 +214,6 @@ def _read_sample(path: str) -> np.ndarray:
             first += len(chunk)
             # The lines go before the next chunk's are read, not after.
             del chunk, arr
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
     return np.concatenate(parts) if parts else np.empty(0)
 
 
@@ -257,25 +254,23 @@ def _line_tables() -> SimpleNamespace:
     digits = i // np.array([1000, 100, 10, 1]) % 10 + 48
     tail = np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]
     quads = np.concatenate([digits, np.where(tail, 0, digits)])
-    # Bytes 0 .. 7 of a row by (k, leading digit): the '0' of the units
-    # and -k-1 zeros after the point at bytes 7+k .. 6 when k < 0, then
-    # the digit at byte 7.
-    k = np.arange(-4, 16)[:, None, None]
-    col = np.arange(8)
-    head = np.where((col >= 7 + k) & (col < 7), 48, 0)
-    head = np.where(col == 7, np.arange(10)[:, None] + 48, head)
     # The point goes at byte p = 8 + k: a row keeps its bytes below p and
     # its bytes shifted by one above p, with '.' at p and '\n' at 25.
-    col, p = np.arange(32), np.arange(4, 24)[:, None]
+    # '0' bits over each line's fixed zeros, which a digit keeps and a NUL
+    # turns into '0': bytes 7+k .. 7 but p when k < 0 (the units and the
+    # zeros after the point), else the integer's digits 7 .. 7+k.
+    col, k = np.arange(32), np.arange(-4, 16)[:, None]
+    p = 8 + k
     below, above = np.where(col < p, 255, 0), np.where(col > p, 255, 0)
-    marks = np.where(col == p, 46, np.where(col == 25, 10, 0))
+    zeros = (col >= 7 + np.minimum(k, 0)) & (col < np.maximum(p, 8))
+    marks = np.where(col == p, 46, np.where(col == 25, 10, 48 * zeros))
 
     def words(a, dtype=np.uint64):
         return a.astype(np.uint8).view(dtype)
 
     return SimpleNamespace(quads=words(quads, np.uint32).ravel(),
-                           head=words(head).ravel(), below=words(below),
-                           above=words(above), marks=words(marks))
+                           below=words(below), above=words(above),
+                           marks=words(marks))
 
 
 def format_lines(x: np.ndarray) -> str:
@@ -311,20 +306,21 @@ def format_lines(x: np.ndarray) -> str:
     g0, g1 = upper - d0 * 10000, top - upper * 10000
     g2 = bottom // 10000
     g3 = bottom - g2 * 10000
-    # A row of 32 bytes, NUL where no character goes: the head, then the
-    # four groups at bytes 8 .. 23, each with its trailing zeros as NUL if
-    # the groups after it are all zeros.
+    # A row of 32 bytes, NUL where no character goes: the leading digit at
+    # byte 7, then the four groups at bytes 8 .. 23, each with its trailing
+    # zeros as NUL if the groups after it are all zeros.
     row = np.zeros((n, 32), np.uint8)
     words = row.view(np.uint32)
-    ki = k + 4
-    row.view(np.uint64)[:, 0] = np.take(t.head, ki * 10 + d0)
+    row[:, 7] = d0 + 48
     zero3 = g3 == 0
     zero2 = zero3 & (g2 == 0)
     words[:, 2] = np.take(t.quads, g0 + 10000 * (zero2 & (g1 == 0)))
     words[:, 3] = np.take(t.quads, g1 + 10000 * zero2)
     words[:, 4] = np.take(t.quads, g2 + 10000 * zero3)
     words[:, 5] = np.take(t.quads, g3 + 10000)
-    # Insert the point at byte 8+k, after the units digit.
+    # Insert the point at byte 8+k, after the units digit, and OR in the
+    # marks: the '0' bits, the point and the newline.
+    ki = k + 4
     shifted = np.zeros_like(row)
     shifted[:, 1:25] = row[:, :24]
     out, rest = row.view(np.uint64), shifted.view(np.uint64)
@@ -332,18 +328,13 @@ def format_lines(x: np.ndarray) -> str:
     rest &= np.take(t.above, ki, axis=0)
     out |= rest
     out |= np.take(t.marks, ki, axis=0)
-    # Where the fraction was all zeros, the integer's trailing zeros went
-    # with it: put them back and drop the point.  Such a fraction holds
-    # all of g3 unless k >= 13, so only those rows are looked at.
+    # Drop the point where the fraction is all zeros.  Such a fraction
+    # holds all of g3 unless k >= 13, so only those rows are looked at.
     maybe = np.flatnonzero(zero3 | (k >= 13))
     bare = maybe[row[maybe, 9 + k[maybe]] == 0]
-    if bare.size:
-        point = 8 + k[bare]
-        row[bare, point] = 0
-        ints = row[bare, 7:24]
-        row[bare, 7:24] = np.where(np.arange(7, 24) < point[:, None],
-                                   np.maximum(ints, 48), ints)
+    row[bare, 8 + k[bare]] = 0
     return row.tobytes().translate(None, b"\0").decode("ascii")
+
 
 def _write(write, rows, flag: str, path: str) -> None:
     """``write(rows, path)``; a failure names ``flag`` and ``path`` only."""
@@ -520,7 +511,3 @@ def main(argv=None) -> int:
                         else f"cannot write stdout: {exc}")
     print(f"invgamma: {msg}", file=sys.stderr)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

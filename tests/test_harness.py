@@ -11,7 +11,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -986,98 +985,3 @@ class TestKlByEstimator:
                                                      sims_per_size=1500))
         kl_by_estimator(records)  # and whatever it imports
         assert traced_peak(kl_by_estimator, records) < 64 * len(records)
-
-
-def _percent_lines(values):
-    return "".join("%.17g\n" % v for v in values)
-
-
-# Positive finite doubles: where format_lines builds its text with numpy
-# (with m / 2**e for short decimals, whose trailing zeros fill whole groups
-# of four digits or part of one), and anywhere, from their bits so that
-# every binade is as likely.
-_FAST = st.one_of(
-    st.floats(1e-4, 1e16, exclude_max=True),
-    st.builds(lambda m, e: m * 2.0 ** -e, st.integers(1, 2 ** 40),
-              st.integers(0, 40)).filter(lambda v: 1e-4 <= v < 1e16))
-_ANY = st.integers(1, 0x7FEFFFFFFFFFFFFF).map(
-    lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0])
-
-
-class TestFormatLines:
-    @staticmethod
-    def _check(values, fast):
-        # A fast-path call reads the tables once; a "%" call never does.
-        calls = cli._line_tables.cache_info()
-        x = np.array(values, dtype=np.float64)
-        assert cli.format_lines(x) == _percent_lines(values)
-        after = cli._line_tables.cache_info()
-        assert (after.hits + after.misses) - (calls.hits + calls.misses) == fast
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(_FAST, min_size=1, max_size=60))
-    def test_fast_path_matches_percent(self, values):
-        self._check(values, fast=True)
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(_FAST, _ANY), min_size=1, max_size=60))
-    def test_any_values_match_percent(self, values):
-        fast = all(1e-4 <= v < 1e16 for v in values)
-        self._check(values, fast=fast)
-
-    def test_empty(self):
-        assert cli.format_lines(np.empty(0)) == ""
-
-    def test_edges(self):
-        # Each power of ten with its neighbours; the double below 1e-4
-        # takes the "%" call.
-        edges = [math.nextafter(0.1, 0.0), math.nextafter(1e16, 0.0)]
-        for j in range(-4, 16):
-            p = float(Fraction(10) ** j)
-            edges += [math.nextafter(p, 0.0), p, math.nextafter(p, math.inf)]
-        edges.remove(math.nextafter(1e-4, 0.0))
-        # Integers, whose zeros before the point stay while a bare point
-        # goes, and fractions with trailing zeros to strip: 1.0390625 is
-        # 1|0390|6250|0000|0000, where only the last two groups' zeros go.
-        edges += [1.0, 10.0, 100.0, 1e15, 2.0 ** 52, 2.0 ** 53, 0.5, 0.25,
-                  1e15 + 0.125, 1234.5, 120.0625, 1.0390625,
-                  9999999999999998.0]
-        self._check(edges, fast=True)
-        self._check([math.nextafter(1e-4, 0.0)], fast=False)
-        assert cli.format_lines(
-            np.array([math.nextafter(1e-4, 0.0), math.nextafter(0.1, 0.0)])
-        ) == "9.9999999999999991e-05\n0.099999999999999992\n"
-
-    def test_ties_round_half_to_even(self):
-        # x * 10**16 is exact and ends in .5 for odd j, so the 18th
-        # significant digit is a 5 with nothing after it.
-        values = [1 + j * 2.0 ** -17 for j in range(1, 400, 2)]
-        for v in values:
-            assert (Fraction(v) * 10 ** 16).denominator == 2
-        self._check(values, fast=True)
-        # 1.0000076293945312|5: the 17th digit is even and stays.
-        assert cli.format_lines(np.array([1 + 2.0 ** -17])) == (
-            "1.0000076293945312\n")
-
-    def test_no_rounding_up_to_ten_to_the_seventeen(self):
-        # N = 10**17 needs x * 10**(16-k) >= 10**17 - 1/2 for some x below
-        # 10**(k+1), i.e. x within 5e-18 (relative) below a power of ten.
-        # No double is, for every power that the fast path can reach.
-        for j in range(-3, 17):
-            t = Fraction(10) ** j
-            x = float(t)
-            if Fraction(x) >= t:
-                x = math.nextafter(x, 0.0)
-            assert (t - Fraction(x)) / t > Fraction(5, 10 ** 18)
-            self._check([x], fast=True)
-
-    def test_decades_are_least_doubles_at_or_above_powers(self):
-        # Entry j is the least double >= 10**(j-4), so that a binary search
-        # gives floor(log10 x) exactly, next to every power of ten too.
-        for p, d in zip(range(-4, 17), cli._DECADES.tolist(), strict=True):
-            t = Fraction(10) ** p
-            assert Fraction(math.nextafter(d, 0.0)) < t <= Fraction(d)
-        for p in range(-4, 16):
-            v = float(Fraction(10) ** p)
-            for x in (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)):
-                assert cli.format_lines(np.array([x])) == "%.17g\n" % x
