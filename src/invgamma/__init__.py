@@ -52,6 +52,7 @@ from .harness import (
     ExperimentConfig,
     SimulationRecord,
     SimulationRecords,
+    WorkerError,
     aggregate_bias,
     emit_prior_posterior_curves,
     fit_by_name,

@@ -3,11 +3,12 @@
 Subcommands: fit, sample, kl, benchmark, bias, curves.  Exit codes:
 0 success, 2 malformed input or bad parameters, 3 non-positive sample
 value, 4 estimator failure, 5 output I/O failure or a failed stdout
-write.  Commands return nothing and raise on failure; ``main`` alone
-prints the one ``invgamma:`` line and picks the code.  A command raises
-``ValueError`` for a bad parameter, or ``_Exit`` where the code depends
-on its context: an input line, the input file, ``--strict``, an output
-path.
+write, 6 the sweep's worker processes failed (a fork or a pipe was
+refused, or a worker died).  Commands return nothing and raise on
+failure; ``main`` alone prints the one ``invgamma:`` line and picks the
+code.  A command raises ``ValueError`` for a bad parameter, or ``_Exit``
+where the code depends on its context: an input line, the input file,
+``--strict``, an output path.
 
 The ``sample | fit`` pipe carries a sample as "%.17g" lines, each value
 read back with its bits: ``format_lines`` writes them, and
@@ -47,6 +48,7 @@ from .harness import (
     BiasAggregate,
     ESTIMATORS,
     ExperimentConfig,
+    WorkerError,
     emit_prior_posterior_curves,
     fit_by_name,
     fmt_float,
@@ -344,6 +346,19 @@ def _write(write, rows, flag: str, path: str) -> None:
         raise _Exit(5, f"cannot write {flag} {path}: {exc.strerror}")
 
 
+def _check_dirs(*outs) -> None:
+    """Exit 5 before a sweep, not after it, when the directory of an
+    output path is missing or is no directory; each of ``outs`` is a
+    (flag, path) pair, and a path of None is skipped."""
+    for flag, path in outs:
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise _Exit(5, f"cannot write {flag} {path}: {os.strerror(code)}")
+
+
 def _fit_options_from_args(args) -> FitOptions:
     return FitOptions(
         shape_prior=ShapePriorABC.with_a(args.prior_a, args.prior_b, args.prior_c),
@@ -439,7 +454,9 @@ def _print_kl_summary(records) -> None:
 
 
 def cmd_benchmark(args) -> None:
-    records = run_kl_experiment(_config_from_args(args))
+    cfg = _config_from_args(args)
+    _check_dirs(("--out", args.out))
+    records = run_kl_experiment(cfg)
     _write(write_records_csv, records, "--out", args.out)
     excluded = int(np.count_nonzero(~np.isfinite(records.column("kl"))))
     if excluded:
@@ -448,7 +465,9 @@ def cmd_benchmark(args) -> None:
 
 
 def cmd_bias(args) -> None:
-    aggregates, records = run_bias_experiment(_config_from_args(args))
+    cfg = _config_from_args(args)
+    _check_dirs(("--out", args.out), ("--agg-out", args.agg_out))
+    aggregates, records = run_bias_experiment(cfg)
     _write(write_records_csv, records, "--out", args.out)
     if args.agg_out:
         _write(write_bias_csv, aggregates, "--agg-out", args.agg_out)
@@ -499,10 +518,9 @@ def main(argv=None) -> int:
         code, msg = 4, str(exc)
     except ValueError as exc:
         code, msg = 2, str(exc)
+    except WorkerError as exc:
+        code, msg = 6, str(exc)
     except OSError as exc:
-        # A failed fork of a sweep's pool is no output failure.
-        if isinstance(exc, BlockingIOError) or exc.errno == errno.ENOMEM:
-            raise
         # A stdout write failed; devnull takes the exit flush, which
         # would fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

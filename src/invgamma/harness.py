@@ -13,14 +13,16 @@ summarized, by blocks of rows, or grouped by (N, estimator).
 
 Sweeps run batched (see ``run_kl_experiment``): each estimator fits all
 simulations of all sizes in one ``fit_batch`` call, bit-identical to the
-scalar fitters, here or in a forked pool.  Every simulation has its own
-seed and every fit is independent of the others, so the records do not
-depend on the number of workers.  ``fit_by_name`` runs one scalar fit.
-The ``sample | fit`` pipe's text is written and read in ``cli``.
+scalar fitters, here or in a child forked for it (``forked.starmap``,
+which fails the sweep at once if a child dies).  Every simulation has
+its own seed and every fit is independent of the others, so the records
+do not depend on the number of workers.  ``fit_by_name`` runs one
+scalar fit.  The ``sample | fit`` pipe's text is written and read in
+``cli``.
 """
 
 # Annotations stay text, so that importing this module does not load
-# numpy.random: a sweep's parent leaves the draws to its pool's workers.
+# numpy.random: a sweep's parent leaves the draws to its forked children.
 from __future__ import annotations
 
 import math
@@ -31,6 +33,7 @@ import threading
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, starmap
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -250,11 +253,10 @@ def fit_by_name(name: str, stats: SufficientStats,
 
 def _draw_shard(cfg: ExperimentConfig, size: int, sims: range) -> np.ndarray:
     """Truth alpha and beta and the six ``SufficientStats`` fields of each
-    sim in ``sims``, one column per sim; a draw worker's task.  Each sim
-    draws from its own seed, with the bits of ``sample`` and
-    ``compute_stats``; the samples are drawn and reduced in chunks of rows
-    whose first rounds hold at most ``distribution._BLOCK`` pairs (one row
-    above that)."""
+    sim in ``sims``, one column per sim.  Each sim draws from its own
+    seed, with the bits of ``sample`` and ``compute_stats``; the samples
+    are drawn and reduced in chunks of rows whose first rounds hold at
+    most ``distribution._BLOCK`` pairs (one row above that)."""
     out = np.empty((8, len(sims)))
     out[2] = size
     step = _rows_per_block(size)
@@ -284,6 +286,20 @@ def _fit_workers() -> int:
         return os.cpu_count() or 1
 
 
+class WorkerError(Exception):
+    """A sweep's worker process could not be forked, or ended without
+    sending back its whole result."""
+
+
+def _draw_shards(cfg: ExperimentConfig, i: int, n: int) -> list:
+    """Shard ``i`` of ``n`` of every size's sims, none empty when ``n`` is
+    at most the sims per size; a draw worker's task, so each worker loads
+    ``numpy.random`` once."""
+    k = cfg.sims_per_size
+    return [_draw_shard(cfg, size, range(k * i // n, k * (i + 1) // n))
+            for size in cfg.sizes]
+
+
 def _sweep(cfg: ExperimentConfig, starmap, workers: int) -> SimulationRecords:
     """Draw each size in contiguous shards of sims, at most one per worker
     and none empty; then fit every size at once, one ``fit_batch`` per
@@ -291,9 +307,9 @@ def _sweep(cfg: ExperimentConfig, starmap, workers: int) -> SimulationRecords:
     ``args`` and yields the results in order.  Every row of a fit is scored
     by one KL call against the truths, and the records keep the columns."""
     k, n = cfg.sims_per_size, min(workers, cfg.sims_per_size)
-    cols = np.concatenate(list(starmap(_draw_shard, [
-        (cfg, size, range(k * i // n, k * (i + 1) // n))
-        for size in cfg.sizes for i in range(n)])), axis=1)
+    # Per worker its shard of each size; the columns run by size, then sim.
+    cols = np.concatenate(list(chain.from_iterable(zip(*starmap(
+        _draw_shards, [(cfg, i, n) for i in range(n)])))), axis=1)
     batch = StatsBatch(*cols[2:])
     fits = starmap(_timed_fit, [(name, batch, cfg.fit)
                                 for name in cfg.estimators])
@@ -316,27 +332,29 @@ def run_kl_experiment(cfg: ExperimentConfig) -> SimulationRecords:
     ``distribution._BLOCK`` pairs (see ``_draw_shard``), so no sims x N
     matrix is held; each estimator fits all sims of all sizes in one
     ``fit_batch`` call, and its fits are scored by one ``kl_divergence``
-    call over all sizes.  With ``_fit_workers()`` > 1, the ``fork`` start
-    method available and no other thread running, a forked
-    ``multiprocessing`` pool runs both steps through ``starmap``: the
-    draws in one contiguous shard of sims per worker and size, then one
-    fit per estimator; the pool's workers are terminated when the sweep
-    returns or raises.  Else both run here through ``itertools.starmap``,
-    one shard per size.  KL and the record columns are built here.
-    ``runtime_s`` is an estimator's ``fit_batch`` wall time, measured in
-    the process that ran it, divided by its fits over all sizes.  A fit
-    whose scalar version raises a domain error becomes a converged=False
-    row with NaN estimates; other errors propagate.
+    call over all sizes.  With ``_fit_workers()`` > 1, ``os.fork``
+    available and no other thread running, both steps run in children
+    forked for them (``forked.starmap``): one per worker, which draws its
+    contiguous shard of the sims of every size, then one per estimator,
+    at most ``_fit_workers()`` at once, forked from this process, which
+    holds the ``StatsBatch`` and never loads ``numpy.random``.  A child
+    that dies, or a fork that fails, raises ``WorkerError`` at once, and
+    no child outlives the sweep.  Else
+    both run here through ``itertools.starmap``, one shard per size.  KL
+    and the record columns are built here.  ``runtime_s`` is an
+    estimator's ``fit_batch`` wall time, measured in the process that ran
+    it, divided by its fits over all sizes.  A fit whose scalar version
+    raises a domain error becomes a converged=False row with NaN
+    estimates; other errors propagate.
     """
     workers = _fit_workers()
-    # No "fork" start method, or a thread that a forked child could inherit
-    # a held lock from: draw and fit here.
+    # No fork, or a thread that a forked child could inherit a held lock
+    # from: draw and fit here.
     if (workers < 2 or not hasattr(os, "fork")
             or threading.active_count() > 1):
         return _sweep(cfg, starmap, 1)
-    import multiprocessing
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return _sweep(cfg, pool.starmap, workers)
+    from . import forked
+    return _sweep(cfg, partial(forked.starmap, workers=workers), workers)
 
 
 def _grouped(records, *fields):

@@ -32,7 +32,7 @@ from invgamma import (
     kl_divergence,
     sample,
 )
-from invgamma import cli
+from invgamma import cli, harness
 from invgamma.harness import (
     RECORDS_CSV_HEADER,
     SimulationRecords,
@@ -1046,15 +1046,37 @@ class TestUnwritableOutput:
         (["curves", "--alpha", "10", "--beta", "25", "--n", "20",
           "--out", BAD], "--out"),
     ])
-    def test_names_option_and_path(self, args, flag, tmp_path, capsys):
+    def test_names_option_and_path(self, args, flag, tmp_path, capsys,
+                                   monkeypatch):
+        # A missing directory is found before a sweep runs, so no CSV is
+        # written.
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_kl_experiment", no_sweep)
+        monkeypatch.setattr(harness, "run_kl_experiment", no_sweep)
         code = cli.main([a.replace("{tmp}", str(tmp_path)) for a in args])
         out, err = capsys.readouterr()
         assert (code, out) == (5, "")
         assert err == (f"invgamma: cannot write {flag} {self.BAD}: "
                        f"{os.strerror(errno.ENOENT)}\n")
         assert not os.path.exists(self.BAD)
-        assert [p.name for p in tmp_path.iterdir()] == (
-            ["r.csv"] if flag == "--agg-out" else [])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_for_a_directory_fails_before_the_sweep(self, tmp_path,
+                                                         monkeypatch):
+        # The pre-sweep check names the error the write would raise.
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_kl_experiment", no_sweep)
+        (tmp_path / "f").write_text("")
+        bad = str(tmp_path / "f" / "x.csv")
+        res = run_main("benchmark", "--sizes", "20", "--sims", "3",
+                       "--out", bad)
+        assert (res.returncode, res.stdout) == (5, "")
+        assert res.stderr == (f"invgamma: cannot write --out {bad}: "
+                              f"{os.strerror(errno.ENOTDIR)}\n")
 
 
 class TestUnreadableInput:
@@ -1132,12 +1154,46 @@ class TestStdoutWriteFailure:
     ])
     def test_failed_fork_is_no_output_failure(self, exc, tmp_path,
                                                monkeypatch):
-        # What a sweep's pool raises when it cannot fork propagates as is.
-        def fail(cfg):
-            raise exc
+        # A sweep whose second fork is refused exits 6 in one line, with
+        # no CSV written and its first child killed and reaped.
+        forked = []
 
-        monkeypatch.setattr(cli, "run_kl_experiment", fail)
-        with pytest.raises(OSError) as info:
-            cli.main(["benchmark", "--sizes", "20", "--sims", "3",
-                      "--out", str(tmp_path / "r.csv")])
-        assert info.value is exc
+        def fork():
+            if forked:
+                raise exc
+            forked.append(real_fork())
+            return forked[-1]
+
+        real_fork = os.fork
+        monkeypatch.setattr(harness, "_fit_workers", lambda: 2)
+        monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / "r.csv"
+        res = run_main("benchmark", "--sizes", "20", "--sims", "3",
+                       "--out", str(out))
+        assert (res.returncode, res.stderr) == (
+            6, f"invgamma: cannot start a sweep worker: {exc.strerror}\n")
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+
+    def test_failed_pipe_is_no_output_failure(self, tmp_path, monkeypatch):
+        # Out of fds for the second worker's pipe: exit 6 as for a refused
+        # fork, not 5 as for a failed stdout write, and no child is left.
+        def pipe():
+            if pipes:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        pipes, real_pipe = [], os.pipe
+        monkeypatch.setattr(harness, "_fit_workers", lambda: 2)
+        monkeypatch.setattr(os, "pipe", pipe)
+        out = tmp_path / "r.csv"
+        res = run_main("benchmark", "--sizes", "20", "--sims", "3",
+                       "--out", str(out))
+        assert (res.returncode, res.stderr) == (
+            6, "invgamma: cannot start a sweep worker: "
+            f"{os.strerror(errno.EMFILE)}\n")
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from invgamma import (
     sample,
     wilcoxon_rank_sum,
 )
-from invgamma import cli, estimators, harness, specfun
+from invgamma import cli, estimators, forked, harness, specfun
 from invgamma.distribution import InvGammaParams
 from invgamma.harness import (
     BIAS_CSV_HEADER,
@@ -65,8 +66,7 @@ _DRAW_PIDS = []
 
 
 def _recording_draw_shard(*args):
-    # Module level, so a pool can pickle it by name; a forked worker
-    # appends to its own copy of the list.
+    # A forked worker appends to its own copy of the list.
     _DRAW_PIDS.append(os.getpid())
     return _DRAW_SHARD(*args)
 
@@ -214,6 +214,21 @@ class TestRecords:
             monkeypatch.setattr(harness, "_fit_workers", lambda: workers)
             with pytest.raises(TypeError, match="broken kernel"):
                 run_kl_experiment(cfg)
+
+    def test_worker_traceback_is_kept(self, monkeypatch):
+        # An error raised in a forked fit worker carries the worker's
+        # traceback, down to the frame that raised.
+        def broken_kernel(y):
+            raise TypeError("broken kernel")
+
+        for ops in (specfun._ARRAY_OPS, specfun._FLOAT_OPS):
+            monkeypatch.setattr(ops, "inv_digamma", broken_kernel)
+        monkeypatch.setattr(harness, "_fit_workers", lambda: 2)
+        with pytest.raises(TypeError) as info:
+            run_kl_experiment(ExperimentConfig(sizes=(30,), sims_per_size=2,
+                                               estimators=("MM", "ML1")))
+        remote = str(info.value.__cause__)
+        assert "_timed_fit" in remote and "in broken_kernel" in remote
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -486,13 +501,13 @@ class TestFitWorkers:
         cfg = ExperimentConfig(sizes=(20, 7), sims_per_size=sims)
         shards = []
 
-        def recording_starmap(fn, args):
-            args = list(args)
-            if fn is harness._draw_shard:
-                shards.extend(a[1:] for a in args)
-            return itertools.starmap(fn, args)
+        def recording_draw_shard(cfg, size, sims):
+            shards.append((size, sims))
+            return _DRAW_SHARD(cfg, size, sims)
 
-        swept = harness._sweep(cfg, recording_starmap, workers)
+        monkeypatch.setattr(harness, "_draw_shard", recording_draw_shard)
+        swept = harness._sweep(cfg, itertools.starmap, workers)
+        monkeypatch.undo()
         assert len(shards) == 2 * min(sims, workers) and all(
             r for _, r in shards)
         for size in cfg.sizes:
@@ -512,36 +527,113 @@ class TestFitWorkers:
             times = {r.runtime_s for r in records if r.estimator == name}
             assert len(times) == 1 and times.pop() > 0.0
 
-    def test_unpicklable_task_fails_fast(self):
-        # A task the pool cannot pickle raises in the caller, and leaving
-        # the pool terminates its workers instead of waiting on them.
+    @staticmethod
+    def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+        # In a child interpreter with a timeout, so that a sweep that hangs
+        # fails the test instead of holding the suite.  At its exit the
+        # interpreter prints "no child left" if it has no child process.
         code = textwrap.dedent("""
-            import multiprocessing
-            from invgamma import harness
+            import atexit, os
 
-            def unpicklable(draw_shard):
-                return lambda *args: draw_shard(*args)
+            @atexit.register
+            def _no_child_left():
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                except ChildProcessError:
+                    print("no child left")
+        """) + textwrap.dedent(code)
+        return subprocess.run([sys.executable, "-c", code, *args],
+                              capture_output=True, text=True, timeout=60,
+                              env=os.environ.copy())
+
+    @pytest.mark.parametrize("task", ["_draw_shard", "_timed_fit"])
+    def test_killed_worker_fails_fast(self, task, tmp_path):
+        # One worker killed in the draw or the fit phase, as the OOM killer
+        # would, while the others would run for 20 s: the sweep raises
+        # within a second, kills and reaps every child, and benchmark exits
+        # 6 in one line without writing its CSV.
+        out, first = tmp_path / "r.csv", tmp_path / "first"
+        res = self._run_python(f"""
+            import contextlib, io, os, signal, sys, time
+            from invgamma import cli, harness
+
+            def killed(*args):
+                try:  # only the first call's marker is new
+                    os.close(os.open(sys.argv[2], os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    time.sleep(20)
+                os.kill(os.getpid(), signal.SIGKILL)
 
             harness._fit_workers = lambda: 2
-            harness._draw_shard = unpicklable(harness._draw_shard)
+            harness.{task} = killed
+            t0 = time.perf_counter()
             try:
-                harness.run_kl_experiment(
-                    harness.ExperimentConfig(sizes=(20,), sims_per_size=4))
-            finally:
-                print("children:", len(multiprocessing.active_children()))
+                harness.run_kl_experiment(harness.ExperimentConfig(
+                    sizes=(20, 50), sims_per_size=10))
+            except harness.WorkerError as exc:
+                print(exc, time.perf_counter() - t0 < 1.0)
+            os.unlink(sys.argv[2])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["benchmark", "--sizes", "20,50", "--sims",
+                                 "10", "--out", sys.argv[1]])
+            print(code, repr(err.getvalue()))
+        """, str(out), str(first))
+        msg = "a sweep worker was killed by signal 9"
+        assert res.stdout == (f"{msg} True\n6 'invgamma: {msg}\\n'\n"
+                              "no child left\n"), res.stderr
+        assert not out.exists()
+
+    def test_at_most_workers_children_alive(self, tmp_path):
+        # Five tasks on two workers, as a sweep's five fits: each child
+        # counts the markers of the children alive beside it, so no more
+        # than two run at once, and the results come back in task order.
+        def task(i):
+            mark = tmp_path / str(i)
+            mark.touch()
+            time.sleep(0.05)
+            alive = len(list(tmp_path.iterdir()))
+            mark.unlink()
+            return i, alive
+
+        results = forked.starmap(task, [(i,) for i in range(5)], 2)
+        assert [i for i, _ in results] == list(range(5))
+        assert max(alive for _, alive in results) <= 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_unpicklable_result_fails_fast(self):
+        # A result that a child cannot pickle raises in the caller, and no
+        # child is left behind.
+        res = self._run_python("""
+            from invgamma import harness
+
+            def unpicklable(*args):
+                return lambda: None
+
+            harness._fit_workers = lambda: 2
+            harness._draw_shard = unpicklable
+            harness.run_kl_experiment(
+                harness.ExperimentConfig(sizes=(20,), sims_per_size=4))
         """)
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=60, env=os.environ.copy())
         assert res.returncode == 1
         assert "Can't pickle local object" in res.stderr
-        assert res.stdout == "children: 0\n"
+        assert res.stdout == "no child left\n"
 
     def test_import_loads_no_pool_modules(self):
-        code = ("import sys, invgamma; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=os.environ.copy())
-        assert res.stdout == "[]\n"
+        # Neither importing the package nor a pooled sweep loads a pool
+        # module or, in the sweep's parent, numpy.random.
+        listed = ("print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                  "('multiprocessing', 'concurrent') or "
+                  "m.startswith('numpy.random')))")
+        res = self._run_python("import sys, invgamma\n" + listed)
+        assert res.stdout == "[]\nno child left\n", res.stderr
+        res = self._run_python(
+            "import sys\nfrom invgamma import harness\n"
+            "harness._fit_workers = lambda: 2\n"
+            "harness.run_kl_experiment(harness.ExperimentConfig("
+            "sizes=(20, 50), sims_per_size=10))\n" + listed)
+        assert res.stdout == "[]\nno child left\n", res.stderr
 
 
 class TestCsv:
