@@ -91,6 +91,9 @@ failures() {
   expect 2 curves --alpha 10 --beta 25 --n 50 --grid-hi inf --out "$out/c.csv"
   expect 2 curves --alpha 10 --beta 25 --n 50 --grid-hi 1e308 --out "$out/c.csv"
   test ! -e "$out/c.csv"
+  # One file for both of bias's CSVs: exit 2 before the sweep, no CSV.
+  expect 2 bias --sizes 20 --sims 3 --out "$out/r.csv" --agg-out "$out/r.csv"
+  test ! -e "$out/r.csv"
   # A large shape one ulp apart is rounding inside the KL's slack.
   expect 0 kl --p-alpha 1e13 --p-beta 1 --q-alpha 1e13 --q-beta 0.9999999999999999
   # Handled in main, not in the command: a bad parameter (exit 2),

@@ -49,9 +49,9 @@ from .harness import (
     ESTIMATORS,
     ExperimentConfig,
     WorkerError,
+    _is_stdout,
     emit_prior_posterior_curves,
     fit_by_name,
-    fmt_float,
     kl_by_estimator,
     run_bias_experiment,
     run_kl_experiment,
@@ -409,7 +409,7 @@ def cmd_fit(args) -> None:
     else:
         for key, val in fields.items():
             text = (str(val).lower() if isinstance(val, bool) else
-                    fmt_float(val) if isinstance(val, float) else val)
+                    "%.17g" % val if isinstance(val, float) else val)
             print(f"{key}={text}")
 
 
@@ -422,8 +422,8 @@ def cmd_sample(args) -> None:
     if not ((x > 0.0).all() and np.isfinite(x).all()):
         raise ValueError(f"alpha={args.alpha:g}, beta={args.beta:g}: draws "
                          f"fall outside the positive finite float64 range")
-    # fmt_float's "%.17g" lines, written as text through sys.stdout so
-    # that a caller can redirect it.
+    # "%.17g" lines, written as text through sys.stdout so that a caller
+    # can redirect it.
     for lo in range(0, x.size, _SAMPLE_CHUNK):
         sys.stdout.write(format_lines(x[lo:lo + _SAMPLE_CHUNK]))
 
@@ -436,7 +436,7 @@ def cmd_kl(args) -> None:
     except OverflowError as exc:
         raise ValueError(
             f"KL divergence out of float64 range for these shapes ({exc})")
-    print(fmt_float(kl))
+    print("%.17g" % kl)
 
 
 def _print_kl_summary(records) -> None:
@@ -466,6 +466,11 @@ def cmd_benchmark(args) -> None:
 
 def cmd_bias(args) -> None:
     cfg = _config_from_args(args)
+    # The aggregates would replace the records; stdout may take both.
+    if (args.agg_out and not _is_stdout(args.out)
+            and os.path.realpath(args.out) == os.path.realpath(args.agg_out)):
+        raise ValueError(f"--out {args.out} and --agg-out {args.agg_out} "
+                         f"name one file")
     _check_dirs(("--out", args.out), ("--agg-out", args.agg_out))
     aggregates, records = run_bias_experiment(cfg)
     _write(write_records_csv, records, "--out", args.out)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _ARRAY_OPS, _FLOAT_OPS, _clog, _psi_psi1, digamma
+from .specfun import (_ARRAY_OPS, _FLOAT_OPS, _check_positive, _clog,
+                      _psi_psi1, digamma)
 
 
 class UndefinedMomentError(ValueError):
@@ -41,9 +42,7 @@ class InvGammaParams:
                 x = float(v)
             except OverflowError:  # an int or Fraction beyond float64
                 x = math.inf
-            if not (math.isfinite(x) and x > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-            object.__setattr__(self, name, x)
+            object.__setattr__(self, name, _check_positive(name, x))
 
 
 def log_pdf(p: InvGammaParams, x):

@@ -33,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .distribution import InvGammaParams
-from .specfun import _ARRAY_OPS, _FLOAT_OPS, _clog, _psi_psi1, inv_digamma
+from .specfun import (_ARRAY_OPS, _FLOAT_OPS, _check_positive, _clog,
+                      _psi_psi1, inv_digamma)
 
 
 class InsufficientDataError(ValueError):
@@ -85,8 +86,8 @@ class ScaleGammaPrior:
     e: float = 0.01
 
     def __post_init__(self):
-        if not (0.0 < self.d < math.inf and 0.0 < self.e < math.inf):
-            raise ValueError("scale prior requires finite d > 0 and e > 0")
+        _check_positive("scale prior d", self.d)
+        _check_positive("scale prior e", self.e)
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,15 @@ class ShapePriorABC:
     c: float = 0.01
 
     def __post_init__(self):
-        if not (math.isfinite(self.log_a) and 0.0 < self.b < math.inf
-                and 0.0 < self.c < math.inf):
-            raise ValueError("shape prior requires finite log_a, b > 0, c > 0")
+        if not math.isfinite(self.log_a):
+            raise ValueError(f"shape prior log_a must be finite, "
+                             f"got {self.log_a!r}")
+        _check_positive("shape prior b", self.b)
+        _check_positive("shape prior c", self.c)
 
     @classmethod
     def with_a(cls, a: float, b: float, c: float) -> "ShapePriorABC":
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"shape prior requires finite a > 0, got a={a!r}")
-        return cls(math.log(a), b, c)
+        return cls(math.log(_check_positive("shape prior a", a)), b, c)
 
 
 @dataclass(frozen=True)
@@ -221,15 +222,12 @@ def log_likelihood(stats: SufficientStats, p: InvGammaParams) -> float:
 
 def ml_beta_given_alpha(stats: SufficientStats, alpha: float) -> float:
     """Conditional likelihood maximizer beta = n*alpha / sum(1/x)."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    return stats.n * alpha / stats.sum_inv
+    return stats.n * _check_positive("alpha", alpha) / stats.sum_inv
 
 
 def profile_log_likelihood(stats: SufficientStats, alpha: float) -> float:
     """Log-likelihood with beta profiled out at its conditional maximum."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    alpha = _check_positive("alpha", alpha)
     n = stats.n
     return n * (-(alpha + 1.0) * stats.mean_log - math.lgamma(alpha)
                 + alpha * (math.log(alpha) + math.log(n)
@@ -248,8 +246,7 @@ def _surrogate_k(op, alpha, n, mean_log, log_sum_inv):
 def quad_approx_coeffs(stats: SufficientStats, alpha: float) -> QuadLogLikApprox:
     """Match value and two derivatives of the profile log-likelihood with
     k0 + k1*alpha + k2*log(alpha) at the expansion point."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    alpha = _check_positive("alpha", alpha)
     k1, k2 = _surrogate_k(_FLOAT_OPS, alpha, stats.n, stats.mean_log,
                           math.log(stats.sum_inv))
     k0 = profile_log_likelihood(stats, alpha) - k1 * alpha - k2 * math.log(alpha)
@@ -275,11 +272,9 @@ def _fixed_point(step, op, alpha: float, consts, conv: ConvergenceConfig):
 
 
 def _guarded(op, alpha, nxt):
-    # Updates below zero (or non-finite) fall back to the geometric mean
-    # of the previous iterate and the update floored at 1e-8.
-    finite = op.isfinite(nxt)
-    floor = op.where(finite & (nxt > 1e-8), nxt, 1e-8)
-    return op.where(finite & (nxt > 0.0), nxt, op.sqrt(alpha * floor))
+    # An update that is not finite and > 0 falls back to the geometric
+    # mean of the previous iterate and 1e-8.
+    return op.where(op.isfinite(nxt) & (nxt > 0.0), nxt, op.sqrt(alpha * 1e-8))
 
 
 # The parts of each estimator, over ``SufficientStats`` or ``StatsBatch``
@@ -502,9 +497,7 @@ def scale_posterior(stats: SufficientStats, prior: ScaleGammaPrior,
                     alpha: float) -> tuple[float, float, float]:
     """Gamma posterior of the scale given the shape: returns
     (d_hat, e_hat, beta_hat) with beta_hat the posterior mean d_hat/e_hat."""
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    d_hat = prior.d + stats.n * alpha
+    d_hat = prior.d + stats.n * _check_positive("alpha", alpha)
     e_hat = prior.e + stats.sum_inv
     return d_hat, e_hat, d_hat / e_hat
 
@@ -547,7 +540,8 @@ def _bl1_terms(stats, shape_prior, scale_prior, beta_hat):
     if beta_hat is None:
         beta_hat = (scale_prior.d / scale_prior.e if stats.n == 0 else
                     fit_bl1(stats, shape_prior, scale_prior).params.beta)
-    return log_a_hat, b_hat, c_hat, math.log(beta_hat)
+    return (log_a_hat, b_hat, c_hat,
+            math.log(_check_positive("beta_hat", beta_hat)))
 
 
 def bl1_log_posterior_curve(stats: SufficientStats,
@@ -560,8 +554,8 @@ def bl1_log_posterior_curve(stats: SufficientStats,
 
     With ``stats = SufficientStats.empty()`` it is the log prior.
     ``beta_hat`` defaults to d/e with no data, else BL1's fitted scale.
-    A grid that is not finite and > 0, or on which the curve overflows
-    float64, raises ``ValueError``.
+    A grid or a ``beta_hat`` that is not finite and > 0, or a grid on
+    which the curve overflows float64, raises ``ValueError``.
     """
     grid = np.asarray(alphas, dtype=np.float64)
     if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):

@@ -33,7 +33,12 @@ def _child(w: int, fn, args) -> None:
             out = pickle.dumps((fn(*args), None, None))
         except BaseException as exc:  # sent back and raised in the parent
             import traceback  # here, so that no parent loads it
-            out = pickle.dumps((None, exc, traceback.format_exc()))
+            tb = traceback.format_exc()
+            try:
+                out = pickle.dumps((None, exc, tb))
+            except Exception:  # unpicklable: send its type and message
+                out = pickle.dumps(
+                    (None, RuntimeError(f"{type(exc).__name__}: {exc}"), tb))
         with open(w, "wb") as fh:
             fh.write(out)
         code = 0

@@ -221,11 +221,11 @@ class SimulationRecords(Sequence):
 
 RECORDS_CSV_HEADER = ",".join(SimulationRecord._fields)
 BIAS_CSV_HEADER = ",".join(BiasAggregate._fields)
-# One row of each CSV; "%.17g" is ``fmt_float``'s format.  A records row
-# takes its "N,sim," and ",alpha_true,beta_true," texts as strings, so a
-# block formats each of them once per simulation; every other field,
-# runtime_s too, is formatted per row, and ``converged`` is written as
-# false/true.
+# One row of each CSV; "%.17g" is 17 significant digits, enough for
+# every float64 to round-trip.  A records row takes its "N,sim," and
+# ",alpha_true,beta_true," texts as strings, so a block formats each of
+# them once per simulation; every other field, runtime_s too, is
+# formatted per row, and ``converged`` is written as false/true.
 _RECORD_ROW = "%s%s%s" + "%.17g," * 5 + "%d,%s,%.17g\n"
 _BOOL_TEXT = ("false", "true")
 _BIAS_ROW = "%d,%s,%d,%d" + ",%.17g" * 4
@@ -482,11 +482,6 @@ def emit_prior_posterior_curves(stats: SufficientStats,
             rows.append((label, float(a), float(lp), float(lq),
                          float(alpha_true), alpha_hat))
     return rows
-
-
-def fmt_float(v: float) -> str:
-    """17 significant digits: enough for every float64 to round-trip."""
-    return f"{v:.17g}"
 
 
 # Paths that name fd 1 whether or not a link for them exists on the host.

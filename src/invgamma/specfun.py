@@ -147,25 +147,26 @@ _ARRAY_OPS.inv_digamma = _inv_digamma_array
 
 
 def _check_positive(name: str, x: float) -> float:
+    """``float(x)``, or ``ValueError`` naming ``name`` unless finite > 0."""
     x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"{name} requires a finite argument > 0, got {x!r}")
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
     return x
 
 
 def ln_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
-    return math.lgamma(_check_positive("ln_gamma", x))
+    return math.lgamma(_check_positive("ln_gamma x", x))
 
 
 def digamma(x: float) -> float:
     """First log-derivative of Gamma, for x > 0."""
-    return _psi_psi1(_FLOAT_OPS, _check_positive("digamma", x))[0]
+    return _psi_psi1(_FLOAT_OPS, _check_positive("digamma x", x))[0]
 
 
 def trigamma(x: float) -> float:
     """Second log-derivative of Gamma, for x > 0; always positive."""
-    return _psi_psi1(_FLOAT_OPS, _check_positive("trigamma", x))[1]
+    return _psi_psi1(_FLOAT_OPS, _check_positive("trigamma x", x))[1]
 
 
 def inv_digamma(y: float) -> float:

@@ -209,7 +209,7 @@ class TestFit:
                        stdin="1\n2\n4\n")
         assert res.returncode == 2
         assert res.stderr == (
-            "invgamma: shape prior requires finite a > 0, got a=0.0\n")
+            "invgamma: shape prior a must be finite and > 0, got 0.0\n")
 
     def test_unknown_flag_exits_2(self):
         res = run_main("fit", "--estimator", "mm", "--nope", stdin="1\n2\n")
@@ -974,6 +974,38 @@ class TestBias:
         row500 = lines[1].split(",")
         row2500 = lines[2].split(",")
         assert float(row2500[5]) < float(row500[5])  # std_bias_alpha shrinks
+
+    @pytest.mark.parametrize("agg", ["r.csv", "sub/../r.csv", "link.csv"])
+    def test_one_file_for_both_csvs_exits_2(self, agg, tmp_path, monkeypatch):
+        # The aggregates would replace the records CSV: refused before the
+        # sweep runs, with no CSV written.
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(harness, "run_kl_experiment", no_sweep)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        os.symlink("r.csv", "link.csv")
+        res = run_main("bias", "--sizes", "20", "--sims", "12",
+                       "--out", "r.csv", "--agg-out", agg)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == (f"invgamma: --out r.csv and --agg-out {agg} "
+                              f"name one file\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_both_csvs_to_stdout(self, tmp_path):
+        # Both CSVs may go to stdout, where they come in order.
+        args = ["bias", "--sizes", "20", "--sims", "12"]
+        sep = run_main(*args, "--out", str(tmp_path / "r.csv"),
+                       "--agg-out", str(tmp_path / "a.csv"))
+        both = run_main(*args, "--out", "/dev/stdout",
+                        "--agg-out", "/dev/stdout")
+        assert sep.returncode == both.returncode == 0
+        strip = lambda text: [line.rsplit(",", 1)[0]
+                              for line in text.splitlines()]
+        records = (tmp_path / "r.csv").read_text()
+        assert strip(both.stdout) == strip(
+            records + (tmp_path / "a.csv").read_text() + sep.stdout)
 
 
 class TestCurves:

@@ -414,6 +414,14 @@ class TestBl1PosteriorCurve:
             bl1_log_posterior_curve(demo_stats, ShapePriorABC(),
                                     ScaleGammaPrior(), [1.0, -2.0])
 
+    @pytest.mark.parametrize("beta_hat", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_beta_hat(self, demo_stats, beta_hat):
+        with pytest.raises(ValueError, match=f"^beta_hat must be finite and "
+                                             f"> 0, got {beta_hat!r}$"):
+            bl1_log_posterior_curve(demo_stats, ShapePriorABC(),
+                                    ScaleGammaPrior(), [1.0, 2.0],
+                                    beta_hat=beta_hat)
+
     @pytest.mark.parametrize("hi", [1e305, 1e308])
     def test_rejects_grid_beyond_float64(self, demo_stats, hi):
         # lgamma overflows at 1e308; the sum of the terms at 1e305.
@@ -764,7 +772,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="var must be NaN when n < 2"):
             SufficientStats(1, 2.0, 1.0, 0.5, 0.7, 0.7)
 
-    @pytest.mark.parametrize("alpha", [0.0, math.nan])
+    @pytest.mark.parametrize("alpha", [0.0, math.nan, math.inf])
     @pytest.mark.parametrize("at", [
         ml_beta_given_alpha,
         profile_log_likelihood,
@@ -773,7 +781,8 @@ class TestConfigValidation:
     ], ids=["ml_beta_given_alpha", "profile_log_likelihood",
             "quad_approx_coeffs", "scale_posterior"])
     def test_functions_of_alpha_reject_it_outside_the_domain(self, at, alpha):
-        with pytest.raises(ValueError, match="alpha must be > 0"):
+        with pytest.raises(ValueError, match=f"^alpha must be finite and > 0, "
+                                             f"got {alpha!r}$"):
             at(compute_stats([1.0, 2.0, 4.0]), alpha)
 
     def test_convergence_config(self):

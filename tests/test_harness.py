@@ -476,7 +476,8 @@ class TestFitWorkers:
         assert not thread.is_alive()
         assert got == want
         # One fit_batch per estimator over both sizes and one draw shard per
-        # size inline; none of either in this process when pooled.
+        # size inline; none of either in this process when the sweep forks
+        # its children.
         assert calls == ([os.getpid()] * 5 if in_parent else [])
         assert _DRAW_PIDS == ([os.getpid()] * 2 if in_parent else [])
 
@@ -620,9 +621,28 @@ class TestFitWorkers:
         assert "Can't pickle local object" in res.stderr
         assert res.stdout == "no child left\n"
 
+    def test_unpicklable_exception_keeps_its_text(self):
+        # An exception that a child cannot pickle (it holds a lock) reaches
+        # the caller as a RuntimeError naming its type and message, chained
+        # to the child's traceback, not as a worker that exited with
+        # status 1; no child is left behind.
+        def task(i):
+            exc = ValueError(f"task {i} failed")
+            exc.lock = threading.Lock()
+            raise exc
+
+        with pytest.raises(RuntimeError,
+                           match=r"^ValueError: task 0 failed$") as info:
+            forked.starmap(task, [(0,)], 2)
+        assert type(info.value) is RuntimeError
+        remote = str(info.value.__cause__)
+        assert "in task" in remote and "task 0 failed" in remote
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_import_loads_no_pool_modules(self):
-        # Neither importing the package nor a pooled sweep loads a pool
-        # module or, in the sweep's parent, numpy.random.
+        # Neither importing the package nor a sweep run in forked children
+        # loads a pool module or, in the sweep's parent, numpy.random.
         listed = ("print(sorted(m for m in sys.modules if m.split('.')[0] in "
                   "('multiprocessing', 'concurrent') or "
                   "m.startswith('numpy.random')))")
@@ -830,7 +850,8 @@ class TestAtomicWrite:
                 return real(*args, **kwargs)
             return call
 
-        # Inline: a forked pool's workers open /dev/null.
+        # Inline, so that the patched os calls are made in this process
+        # alone, not in forked children.
         monkeypatch.setattr(harness, "_fit_workers", lambda: 1)
         for name, wrap in [("lstat", missing), ("stat", missing),
                            ("open", guarded), ("replace", guarded)]:
